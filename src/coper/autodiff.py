@@ -8,6 +8,14 @@ tape is active, which is how inference and generation stay cheap.
 Gradient flow is single-threaded per tape; reductions that feed losses
 (softmax normalizers, norms, cross-entropy) accumulate in float64 while the
 bulk matmuls stay in the array dtype so BLAS runs at full speed.
+
+Attention is one fused primitive.  Its forward walks the (batch * heads)
+axis in blocks whose score tile is about _ATTENTION_BLOCK_BYTES, builds the
+masked softmax in place in one buffer with float64 row sums, and keeps only
+the per-row log-sum-exp; its backward recomputes each block's probabilities
+from q, k and that log-sum-exp rather than storing the (B*H, S, S) tensor.
+GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
+backward.  No primitive writes into its inputs' arrays.
 """
 
 from __future__ import annotations
@@ -139,23 +147,31 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports 2D @ 2D, 3D @ 2D, and batched 3D @ 3D."""
+    """Matrix product; supports 2D @ 2D, 3D @ 2D, and batched 3D @ 3D.
+
+    3D @ 2D runs forward and backward as single 2-D GEMMs over the
+    (batch * length) rows, which BLAS does much faster than a stack of
+    per-batch products.
+    """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"cannot matmul shapes {ad.shape} and {bd.shape}")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"batch sizes differ: {ad.shape} vs {bd.shape}")
-    data = ad @ bd
+    a_shape = ad.shape
+    flat = ad.ndim == 3 and bd.ndim == 2
+    if flat:
+        ad = ad.reshape(-1, a_shape[-1])
+    data = (ad @ bd).reshape(*a_shape[:-1], bd.shape[-1])
 
     def backward(g):
+        if flat:
+            g = g.reshape(-1, g.shape[-1])
         ga = gb = None
         if a.requires_grad:
-            ga = g @ _swap_last(bd)
+            ga = (g @ _swap_last(bd)).reshape(a_shape)
         if b.requires_grad:
-            if bd.ndim == 2 and g.ndim == 3:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _swap_last(ad) @ g
+            gb = _swap_last(ad) @ g
         return ga, gb
 
     return _wrap(data, (a, b), backward)
@@ -208,41 +224,111 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU; the backward differentiates the approximation.
 
     Powers are spelled as products: numpy's float32 pow ufunc takes a scalar
-    libm path that is orders of magnitude slower than multiplication.
+    libm path that is orders of magnitude slower than multiplication.  The
+    forward builds tanh(C * x * (1 + A * x^2)) in one temporary, using the
+    output array as scratch, and keeps only that tanh for backward.
     """
     xd = x.data
-    x_sq = xd * xd
-    t = np.tanh(_GELU_C * xd * (1.0 + _GELU_A * x_sq))
-    data = 0.5 * xd * (1.0 + t)
+    t = xd * xd
+    t *= _GELU_A
+    t += 1.0
+    data = np.multiply(xd, _GELU_C)
+    t *= data
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=data)
+    data *= xd
+    data *= 0.5
 
     def backward(g):
-        d_inner = _GELU_C + (3.0 * _GELU_C * _GELU_A) * x_sq
-        dx = (1.0 - t * t) * d_inner
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        tmp = xd * xd
+        tmp *= 3.0 * _GELU_C * _GELU_A
+        tmp += _GELU_C
+        dx *= tmp
         dx *= xd
-        dx += 1.0 + t
-        dx *= 0.5 * g
+        dx += np.add(t, 1.0, out=tmp)
+        dx *= np.multiply(g, 0.5, out=tmp)
         return (dx,)
 
     return _wrap(data, (x,), backward)
 
 
-def softmax(x: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, optionally after adding a constant mask.
+# Bytes of one block's (rows, S, S) score tile in `attention`.  About 1 MiB
+# bounds the op's score memory to two such tiles whatever the batch and
+# length, while a block still holds enough rows (7 at S = 187, float32)
+# that the per-block Python overhead stays small.
+_ATTENTION_BLOCK_BYTES = 1 << 20
 
-    The mask broadcasts against x and may contain -inf to zero positions
-    out entirely (each row must keep at least one finite entry).
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              additive_mask: np.ndarray | None = None) -> Tensor:
+    """softmax(scale * q @ k^T + mask) @ v over (N, S, D) operands, as one op.
+
+    The mask broadcasts against the (S, S) scores and may contain -inf to
+    zero positions out entirely (each row must keep at least one finite
+    entry).  Rows of the leading axis are processed in blocks; the
+    probabilities are never stored, only each score row's log-sum-exp, and
+    backward recomputes them block by block.
     """
-    scores = x.data if additive_mask is None else x.data + additive_mask
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)  # 64-bit accumulation
-    p = e * np.asarray(1.0 / denom, dtype=x.data.dtype)
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 3 or kd.shape != qd.shape or vd.shape[:2] != qd.shape[:2]:
+        raise ShapeError(f"cannot attend with q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    n, s, _ = qd.shape
+    dtype = qd.dtype
+    scale = float(scale)
+    step = max(1, _ATTENTION_BLOCK_BYTES // (s * s * dtype.itemsize))
+    buf = np.empty((min(step, n), s, s), dtype=dtype)
+    out = np.empty((n, s, vd.shape[-1]), dtype=dtype)
+    lse = np.empty((n, s, 1), dtype=dtype)
+
+    def scores(lo, hi):
+        sc = buf[:hi - lo]
+        np.matmul(qd[lo:hi], _swap_last(kd[lo:hi]), out=sc)
+        sc *= scale
+        if additive_mask is not None:
+            sc += additive_mask
+        return sc
+
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        p = scores(lo, hi)
+        m = p.max(axis=-1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        denom = p.sum(axis=-1, keepdims=True, dtype=np.float64)  # 64-bit accumulation
+        p *= np.asarray(1.0 / denom, dtype=dtype)
+        np.matmul(p, vd[lo:hi], out=out[lo:hi])
+        lse[lo:hi] = m + np.log(denom)
 
     def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.data.dtype)
-        return (p * (g - dot),)
+        dq = np.empty_like(qd) if q.requires_grad else None
+        dk = np.empty_like(kd) if k.requires_grad else None
+        dv = np.empty_like(vd) if v.requires_grad else None
+        dbuf = np.empty_like(buf)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            p = scores(lo, hi)
+            p -= lse[lo:hi]
+            np.exp(p, out=p)
+            gb = g[lo:hi]
+            if dv is not None:
+                np.matmul(_swap_last(p), gb, out=dv[lo:hi])
+            # dS = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(dO * O).
+            ds = dbuf[:hi - lo]
+            np.matmul(gb, _swap_last(vd[lo:hi]), out=ds)
+            ds -= (gb * out[lo:hi]).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            ds *= p
+            if dq is not None:
+                np.matmul(ds, kd[lo:hi], out=dq[lo:hi])
+            if dk is not None:
+                np.matmul(_swap_last(ds), qd[lo:hi], out=dk[lo:hi])
+        for d in (dq, dk):
+            if d is not None:
+                d *= scale
+        return dq, dk, dv
 
-    return _wrap(p, (x,), backward)
+    return _wrap(out, (q, k, v), backward)
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -313,16 +399,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
         return (p * w[..., None],)
 
     return _wrap(np.float64(loss), (logits,), backward)
-
-
-def transpose_last(x: Tensor) -> Tensor:
-    if x.ndim < 2:
-        raise ShapeError(f"need rank >= 2 to transpose, got {x.shape}")
-
-    def backward(g):
-        return (_swap_last(g),)
-
-    return _wrap(_swap_last(x.data), (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -222,9 +222,7 @@ class Transformer:
             if cfg.pe_kind is PeKind.ROPE:
                 q = ad.rope_rotate(q, cos, sin)
                 k = ad.rope_rotate(k, cos, sin)
-            att = ad.scale(ad.matmul(q, ad.transpose_last(k)), inv_sqrt)
-            att = ad.softmax(att, additive_mask=mask)
-            o = ad.merge_heads(ad.matmul(att, v), h)
+            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask), h)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])

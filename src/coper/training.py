@@ -223,7 +223,12 @@ class AdamW:
 
 def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion,
                            batch_size: int = 128) -> tuple[float, float]:
-    """Mean next-token loss and accuracy over the masked region (no decoding)."""
+    """Mean next-token loss and accuracy over the masked region (no decoding).
+
+    Samples are batched in length order, so each batch pads only to the
+    longest of similar lengths; the totals do not depend on the batching.
+    """
+    samples = sorted(samples, key=lambda s: len(s.tokens))
     total_loss = 0.0
     total_correct = 0
     total = 0
@@ -310,7 +315,8 @@ def train(
                 print(f"epoch {epoch}: train {point.train_loss:.4f} "
                       + " ".join(f"{k} {v:.4f}" for k, v in sorted(split_loss.items())))
 
-    assert np.array_equal(model.embedding.data, embedding_before), "frozen embedding moved"
+    if not np.array_equal(model.embedding.data, embedding_before):
+        raise RuntimeError("frozen embedding moved during training")
 
     if out_dir is not None:
         out_dir = Path(out_dir)

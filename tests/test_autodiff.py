@@ -12,6 +12,17 @@ def rand64(rng, *shape, grad=True):
     return t64(rng.standard_normal(shape), grad=grad)
 
 
+def causal_mask(s):
+    return np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
+
+
+def attention_probs(q, k, scale=1.0, mask=None):
+    """The softmax inside `attention`, read out by attending to identity values."""
+    n, s, _ = q.shape
+    eye = ad.Tensor(np.broadcast_to(np.eye(s, dtype=q.dtype), (n, s, s)).copy())
+    return ad.attention(q, k, eye, scale, mask).data
+
+
 class TestTensor:
     def test_rejects_rank_4(self):
         with pytest.raises(ad.ShapeError):
@@ -55,16 +66,22 @@ class TestBackwardBasics:
 class TestForwardSemantics:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        x = ad.Tensor(rng.standard_normal((4, 9, 16)).astype(np.float32))
-        p = ad.softmax(x).data
+        q, k = (ad.Tensor(rng.standard_normal((4, 16, 8)).astype(np.float32)) for _ in range(2))
+        p = attention_probs(q, k, scale=3.0)
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_softmax_mask_zeroes_positions(self):
-        x = ad.Tensor(np.zeros((2, 3, 3), dtype=np.float32))
-        mask = np.where(np.arange(3)[None, :] > np.arange(3)[:, None], -np.inf, 0.0)
-        p = ad.softmax(x, additive_mask=mask.astype(np.float32)).data
+        q = ad.Tensor(np.zeros((2, 3, 4), dtype=np.float32))
+        k = ad.Tensor(np.ones((2, 3, 4), dtype=np.float32))
+        p = attention_probs(q, k, mask=causal_mask(3).astype(np.float32))
         assert np.allclose(p[:, 0], [1.0, 0.0, 0.0])
         assert np.allclose(p[:, 2], [1 / 3, 1 / 3, 1 / 3])
+
+    def test_attention_shape_error_names_shapes(self):
+        q = ad.Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ad.ShapeError) as err:
+            ad.attention(q, ad.Tensor(np.zeros((2, 5, 4))), q, 1.0)
+        assert "(2, 5, 4)" in str(err.value)
 
     def test_cross_entropy_confident_correct_is_near_zero(self):
         logits = np.zeros((1, 3, 5), dtype=np.float32)
@@ -156,17 +173,16 @@ class TestGradCheckPrimitives:
 
     def test_softmax(self):
         rng = np.random.default_rng(16)
-        a, w = rand64(rng, 2, 4, 4), rand64(rng, 4, 5)
-        f = lambda: ad.cross_entropy(ad.matmul(ad.softmax(a), w), np.ones((2, 4), int), np.ones((2, 4)))
-        self.check(f, [a, w])
+        q, k, v = rand64(rng, 2, 4, 3), rand64(rng, 2, 4, 3), rand64(rng, 2, 4, 5)
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.7), np.ones((2, 4), int), np.ones((2, 4)))
+        self.check(f, [q, k, v])
 
     def test_softmax_with_causal_mask(self):
         rng = np.random.default_rng(17)
-        a, w = rand64(rng, 2, 4, 4), rand64(rng, 4, 5)
-        mask = np.where(np.arange(4)[None, :] > np.arange(4)[:, None], -np.inf, 0.0)
-        f = lambda: ad.cross_entropy(ad.matmul(ad.softmax(a, additive_mask=mask), w),
-                                     np.ones((2, 4), int), np.ones((2, 4)))
-        self.check(f, [a, w])
+        q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, causal_mask(5)),
+                                     np.ones((3, 5), int), np.ones((3, 5)))
+        self.check(f, [q, k, v])
 
     def test_rmsnorm(self):
         rng = np.random.default_rng(18)
@@ -193,8 +209,7 @@ class TestGradCheckPrimitives:
         def f():
             h = ad.split_heads(a, 2)                      # (4, 3, 4)
             h = ad.rope_rotate(h, cos.astype(np.float64), sin.astype(np.float64))
-            s = ad.matmul(h, ad.transpose_last(h))        # (4, 3, 3)
-            o = ad.matmul(ad.softmax(s), h)               # (4, 3, 4)
+            o = ad.attention(h, h, h, 1.0)                # (4, 3, 4)
             m = ad.merge_heads(o, 2)                      # (2, 3, 8)
             m = ad.reshape(m, (6, 8))
             return ad.cross_entropy(ad.matmul(ad.reshape(m, (2, 3, 8)), ad.matmul(rand_w, w)),
@@ -227,6 +242,48 @@ def test_forward_determinism():
     rng = np.random.default_rng(30)
     x = ad.Tensor(rng.standard_normal((4, 8, 16)).astype(np.float32))
     w = ad.Tensor(rng.standard_normal((16, 16)).astype(np.float32))
-    a = ad.softmax(ad.matmul(ad.gelu(x), w)).data
-    b = ad.softmax(ad.matmul(ad.gelu(x), w)).data
-    assert np.array_equal(a, b)
+
+    def f():
+        h = ad.matmul(ad.gelu(x), w)
+        return ad.attention(h, h, h, 0.25, causal_mask(8).astype(np.float32)).data
+
+    assert np.array_equal(f(), f())
+
+
+def _attention_run(q, k, v, mask):
+    for t in (q, k, v):
+        t.grad = None
+    with ad.Tape() as tape:
+        out = ad.attention(q, k, v, 0.35, mask)
+        loss = ad.cross_entropy(out, np.zeros(out.shape[:2], int), np.ones(out.shape[:2]))
+    tape.backward(loss)
+    return [out.data, q.grad, k.grad, v.grad]
+
+
+def test_attention_blocks_agree_with_one_block(monkeypatch):
+    rng = np.random.default_rng(31)
+    n, s = 7, 11
+    q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = causal_mask(s).astype(np.float32)
+    assert ad._ATTENTION_BLOCK_BYTES >= n * s * s * 4
+    whole = _attention_run(q, k, v, mask)
+    # Three rows per block: blocks of 3, 3 and a ragged 1.
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
+    blocked = _attention_run(q, k, v, mask)
+    for a, b in zip(whole, blocked):
+        np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
+
+
+def test_gelu_and_attention_leave_inputs_unmodified():
+    rng = np.random.default_rng(32)
+    x, q, k, v = (ad.Tensor(rng.standard_normal((3, 6, 4)).astype(np.float32), requires_grad=True)
+                  for _ in range(4))
+    mask = causal_mask(6).astype(np.float32)
+    before = [t.data.copy() for t in (x, q, k, v)] + [mask.copy()]
+    with ad.Tape() as tape:
+        h = ad.add(ad.gelu(x), ad.attention(q, k, v, 0.5, mask))
+        loss = ad.cross_entropy(h, np.zeros((3, 6), int), np.ones((3, 6)))
+    tape.backward(loss)
+    for a, b in zip(before, [x.data, q.data, k.data, v.data, mask]):
+        assert np.array_equal(a, b)

@@ -143,6 +143,64 @@ class TestForward:
         assert not np.allclose(outs[0], outs[2])
 
 
+def reference_logits(model: Transformer, tokens: np.ndarray) -> np.ndarray:
+    """Float64 numpy forward of the unfused chain: scores, scale, masked softmax, @ v."""
+    cfg = model.config
+    w = {name: t.data.astype(np.float64) for name, t in model.state_tensors().items()}
+    b, s = tokens.shape
+    h, dh = cfg.n_heads, cfg.d_head
+    cos, sin = (t.astype(np.float64) for t in rope_tables(dh, s, cfg.rope_base))
+
+    def norm(x, gain):
+        return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6) * gain
+
+    def heads(x):
+        return x.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+
+    def rope(x):
+        out = np.empty_like(x)
+        out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        return out
+
+    x = w["embedding"][tokens]
+    if cfg.pe_kind is PeKind.SINPE:
+        x = x + sinusoidal_table(s, cfg.d_model).astype(np.float64)
+    causal = np.triu(np.full((s, s), -np.inf), k=1)
+    for layer in range(cfg.n_layers):
+        p = {name[len(f"layers.{layer}."):]: arr for name, arr in w.items()
+             if name.startswith(f"layers.{layer}.")}
+        hn = norm(x, p["attn_norm"])
+        q, k, v = (heads(hn @ p[name]) for name in ("wq", "wk", "wv"))
+        if cfg.pe_kind is PeKind.ROPE:
+            q, k = rope(q), rope(k)
+        scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh) + causal
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        o = (e / e.sum(axis=-1, keepdims=True)) @ v
+        x = x + o.transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model) @ p["wo"]
+        f = norm(x, p["ffn_norm"]) @ p["w1"]
+        f = 0.5 * f * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (f + 0.044715 * f**3)))
+        x = x + f @ p["w2"]
+    return norm(x, w["final_norm"]) @ w["head"]
+
+
+class TestForwardMatchesReference:
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_float64_logits_match_unfused_chain(self, kind):
+        cfg = ModelConfig(d_model=16, n_heads=2, n_layers=2, ffn_mult=2, max_seq_len=64,
+                          pe_kind=kind, init_seed=9)
+        model = Transformer(cfg).astype(np.float64)
+        tokens = np.random.default_rng(10).integers(0, 17, size=(3, 23))
+        np.testing.assert_allclose(model.forward(tokens).data, reference_logits(model, tokens),
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_float32_logits_match_unfused_chain(self):
+        model = Transformer(ModelConfig(d_model=64, n_heads=4, n_layers=2, max_seq_len=384))
+        tokens = np.random.default_rng(11).integers(0, 17, size=(4, 187))
+        np.testing.assert_allclose(model.forward(tokens).data, reference_logits(model, tokens),
+                                   rtol=0, atol=2e-5)
+
+
 class TestGenerate:
     def test_zero_tokens(self):
         model = Transformer(TINY)

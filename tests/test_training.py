@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from coper import training
 from coper.composers import AnswerLenPolicy, ComposeRule
-from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset
+from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
 from coper.model import ModelConfig, Transformer, load_checkpoint
 from coper.training import (
     LossRegion,
@@ -12,6 +13,7 @@ from coper.training import (
     encode_record,
     encode_records,
     multi_seed,
+    teacher_forced_metrics,
     train,
 )
 
@@ -99,6 +101,18 @@ class TestTraining:
         train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=1))
         assert np.array_equal(model.embedding.data, before)
 
+    def test_moved_embedding_raises(self, tiny_data, monkeypatch):
+        model = Transformer(TINY_MODEL)
+        step = training.AdamW.step
+
+        def step_and_nudge(opt):
+            step(opt)
+            model.embedding.data[0, 0] += 1.0
+
+        monkeypatch.setattr(training.AdamW, "step", step_and_nudge)
+        with pytest.raises(RuntimeError, match="frozen embedding"):
+            train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=1, seed=1))
+
     def test_runlog_contents(self, tiny_data):
         model = Transformer(TINY_MODEL)
         _, runlog = train(model, tiny_data,
@@ -129,6 +143,27 @@ class TestTraining:
         opt.step()
         assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
         assert np.all(opt._m["w"] == 0) and np.all(opt._v["w"] == 0)
+
+
+class TestTeacherForcedMetrics:
+    def test_batches_are_length_sorted_and_totals_unchanged(self, tiny_data, monkeypatch):
+        samples = encode_records(load_records(tiny_data, Split.TEST_EXTRAPOLATION))
+        assert len({len(s.tokens) for s in samples}) > 2
+        model = Transformer(TINY_MODEL)
+        one_batch = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY,
+                                           batch_size=len(samples))
+        batches = []
+
+        def recording(batch, region):
+            batches.append([len(s.tokens) for s in batch])
+            return batch_arrays(batch, region)
+
+        monkeypatch.setattr(training, "batch_arrays", recording)
+        loss, acc = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY, batch_size=3)
+        lengths = [n for batch in batches for n in batch]
+        assert lengths == sorted(len(s.tokens) for s in samples)
+        assert acc == one_batch[1]
+        assert loss == pytest.approx(one_batch[0], rel=1e-9)
 
 
 class TestRunLog:
