@@ -13,7 +13,9 @@ Attention is one fused primitive.  Its forward walks the (batch * heads)
 axis in blocks whose score tile is about _ATTENTION_BLOCK_BYTES, builds the
 masked softmax in place in one buffer with float64 row sums, and keeps only
 the per-row log-sum-exp; its backward recomputes each block's probabilities
-from q, k and that log-sum-exp rather than storing the (B*H, S, S) tensor.
+from q, k and that log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
+Keys may outnumber queries, which is how a decoding step attends over its
+key/value cache.
 GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
 backward.  No primitive writes into its inputs' arrays.
 """
@@ -263,30 +265,40 @@ _ATTENTION_BLOCK_BYTES = 1 << 20
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               additive_mask: np.ndarray | None = None) -> Tensor:
-    """softmax(scale * q @ k^T + mask) @ v over (N, S, D) operands, as one op.
+    """softmax(scale * q @ k^T + mask) @ v as one op.
 
-    The mask broadcasts against the (S, S) scores and may contain -inf to
-    zero positions out entirely (each row must keep at least one finite
-    entry).  Rows of the leading axis are processed in blocks; the
+    q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq,
+    so Sq queries can attend over a longer key cache.  The mask is either
+    shared, broadcasting against the (Sq, Sk) scores, or per row with shape
+    (N, Sq, Sk); it may contain -inf to zero positions out entirely (each
+    row must keep at least one finite entry).  Rows of the leading axis are
+    processed in blocks, and a per-row mask is sliced with them; the
     probabilities are never stored, only each score row's log-sum-exp, and
     backward recomputes them block by block.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 3 or kd.shape != qd.shape or vd.shape[:2] != qd.shape[:2]:
+    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2]
+            or kd.shape[1] < qd.shape[1] or vd.ndim != 3 or vd.shape[:2] != kd.shape[:2]):
         raise ShapeError(f"cannot attend with q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    n, s, _ = qd.shape
+    n, sq, _ = qd.shape
+    sk = kd.shape[1]
+    per_row = additive_mask is not None and additive_mask.ndim == 3
+    if per_row and additive_mask.shape != (n, sq, sk):
+        raise ShapeError(f"per-row mask {additive_mask.shape} does not match scores {(n, sq, sk)}")
     dtype = qd.dtype
     scale = float(scale)
-    step = max(1, _ATTENTION_BLOCK_BYTES // (s * s * dtype.itemsize))
-    buf = np.empty((min(step, n), s, s), dtype=dtype)
-    out = np.empty((n, s, vd.shape[-1]), dtype=dtype)
-    lse = np.empty((n, s, 1), dtype=dtype)
+    step = max(1, _ATTENTION_BLOCK_BYTES // (sq * sk * dtype.itemsize))
+    buf = np.empty((min(step, n), sq, sk), dtype=dtype)
+    out = np.empty((n, sq, vd.shape[-1]), dtype=dtype)
+    lse = np.empty((n, sq, 1), dtype=dtype)
 
     def scores(lo, hi):
         sc = buf[:hi - lo]
         np.matmul(qd[lo:hi], _swap_last(kd[lo:hi]), out=sc)
         sc *= scale
-        if additive_mask is not None:
+        if per_row:
+            sc += additive_mask[lo:hi]
+        elif additive_mask is not None:
             sc += additive_mask
         return sc
 
@@ -336,8 +348,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     xd = x.data
     if gain.data.shape != (xd.shape[-1],):
         raise ShapeError(f"gain shape {gain.data.shape} does not match feature dim {xd.shape[-1]}")
-    x64 = xd.astype(np.float64)
-    ms = (x64 * x64).mean(axis=-1, keepdims=True)
+    n = xd.shape[-1]
+    ms = np.einsum("...i,...i->...", xd, xd, dtype=np.float64)[..., None] / n  # 64-bit accumulation
     inv = np.asarray(1.0 / np.sqrt(ms + eps), dtype=xd.dtype)
     xhat = xd * inv
     data = xhat * gain.data
@@ -347,7 +359,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         if x.requires_grad:
             gg = g * gain.data
             dot = (gg * xhat).sum(axis=-1, keepdims=True, dtype=np.float64).astype(xd.dtype)
-            n = xd.shape[-1]
             gx = inv * (gg - xhat * (dot / n))
         if gain.requires_grad:
             ggain = (g * xhat).reshape(-1, xd.shape[-1]).sum(axis=0, dtype=np.float64).astype(gain.data.dtype)

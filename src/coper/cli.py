@@ -366,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
+    from .autodiff import ShapeError  # after the thread cap, since it loads numpy
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -378,6 +379,9 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ShapeError as exc:  # a ValueError, but raised by the run, not by its inputs
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

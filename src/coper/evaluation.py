@@ -99,33 +99,29 @@ class EvalResult:
         return merged
 
 
-def greedy_predictor(model: Transformer, batch_size: int = 64):
+def greedy_predictor(model: Transformer):
     """Default predictor: greedy continuation of the model."""
-
-    def predict(prompts: np.ndarray, n: int) -> np.ndarray:
-        return model.generate_greedy(prompts, n)
-
-    return predict
+    return model.generate_greedy
 
 
 def decode_records(records, predictor, batch_size: int = 64):
-    """Greedy-decode records grouped by (prompt length, answer length).
+    """Greedy-decode records in length-sorted batches of mixed lengths.
 
-    Yields (record, predicted ids) in the original record order.
+    The predictor gets each batch's prompts as a list of 1-D id arrays and
+    the batch's longest answer length; each row is then cut to its own
+    answer length.  Returns (record, predicted ids) in the original record
+    order.
     """
-    groups: dict = {}
-    for idx, rec in enumerate(records):
-        key = (len(rec.input_text), len(rec.target_text))
-        groups.setdefault(key, []).append(idx)
+    order = sorted(range(len(records)),
+                   key=lambda j: (len(records[j].input_text), len(records[j].target_text)))
     out = [None] * len(records)
-    for (in_len, out_len), idxs in sorted(groups.items()):
-        for i in range(0, len(idxs), batch_size):
-            chunk = idxs[i:i + batch_size]
-            prompts = np.asarray(
-                [(BOS_ID,) + encode(records[j].input_text) for j in chunk], dtype=np.int64)
-            preds = predictor(prompts, out_len)
-            for row, j in enumerate(chunk):
-                out[j] = tuple(int(v) for v in preds[row])
+    for i in range(0, len(order), batch_size):
+        chunk = order[i:i + batch_size]
+        prompts = [np.asarray((BOS_ID,) + encode(records[j].input_text), dtype=np.int64)
+                   for j in chunk]
+        preds = predictor(prompts, max(len(records[j].target_text) for j in chunk))
+        for row, j in enumerate(chunk):
+            out[j] = tuple(int(v) for v in preds[row][:len(records[j].target_text)])
     return list(zip(records, out))
 
 
@@ -140,8 +136,10 @@ def evaluate(
     """Decoded accuracy per (P1, P2) pair and per category, plus TF losses.
 
     A custom `predictor(prompts, n) -> ids` replaces the model's greedy
-    decoding (used by the harness self-tests); losses then require a model
-    and are skipped when one is not given.
+    decoding (used by the harness self-tests).  It receives a list of 1-D
+    prompt arrays and the batch's longest answer length `n`, and returns at
+    least `n` ids per row.  Losses require a model and are skipped when one
+    is not given.
     """
     data_dir = Path(data_dir)
     manifest = DatasetManifest.load(data_dir / "manifest.json")
@@ -151,7 +149,7 @@ def evaluate(
                 f"model vocab {model.config.vocab_size} != dataset vocab "
                 f"{len(manifest.to_dict()['vocab'])}")
         if predictor is None:
-            predictor = greedy_predictor(model, batch_size)
+            predictor = greedy_predictor(model)
     elif predictor is None:
         raise ConfigError("evaluate needs a model or an explicit predictor")
 

@@ -6,11 +6,19 @@ model cannot smuggle numeric priors into the symbols; the output head is a
 separate trainable matrix.  Positional information enters either as rotary
 rotations of queries/keys (ROPE), an additive sinusoidal table (SINPE), or
 not at all (NONE).
+
+`forward` and greedy decoding run the same layer code, which takes absolute
+positions, shared by the batch or given per row, and an optional key/value
+cache.  Decoding fills the cache with one right-padded forward over prompts
+of mixed lengths, then feeds one token per row per step at that row's own
+position and attends over its cached slots, so every row sees exactly the
+positions it would see decoded alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .codec import VOCAB_SIZE
+from .codec import PAD_ID, VOCAB_SIZE
 
 CHECKPOINT_FORMAT = "ckpt-1"
 
@@ -102,30 +110,6 @@ def rope_tables(d_head: int, n_positions: int, base: float) -> tuple[np.ndarray,
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def apply_rope(x: np.ndarray, position, base: float = 10000.0) -> np.ndarray:
-    """Rotate the trailing head dimension of x to the given position(s).
-
-    x is (..., d_head); position is an integer or an array matching the
-    second-to-last axis.  Consecutive coordinate pairs (x[2i], x[2i+1])
-    rotate by angle position * base^(-2i / d_head); the map is an isometry.
-    """
-    x = np.asarray(x)
-    d_head = x.shape[-1]
-    if d_head % 2 != 0:
-        raise ConfigError(f"head dimension must be even for rotary pairs, got {d_head}")
-    i = np.arange(d_head // 2, dtype=np.float64)
-    freqs = float(base) ** (-2.0 * i / d_head)
-    pos = np.asarray(position, dtype=np.float64)
-    angles = pos[..., None] * freqs if pos.ndim else pos * freqs
-    cos = np.cos(angles).astype(x.dtype)
-    sin = np.sin(angles).astype(x.dtype)
-    x1, x2 = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
-    return out
-
-
 def sinusoidal_table(n_positions: int, d_model: int) -> np.ndarray:
     """Classic additive sine/cosine position table, shape (n_positions, d_model)."""
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
@@ -200,18 +184,34 @@ class Transformer:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise LengthError(f"tokens must be (batch, length), got {tokens.shape}")
-        b, s = tokens.shape
+        s = tokens.shape[1]
         if s > self.config.max_seq_len:
             raise LengthError(f"length {s} exceeds max_seq_len {self.config.max_seq_len}")
+        return self._run(tokens, slice(0, s), self._causal_mask(s))
+
+    def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None) -> ad.Tensor:
+        """The layer stack over `tokens` (B, S) at absolute `positions`.
+
+        `positions` is a slice shared by every row, or a (B, S) array of
+        per-row positions.  Without a cache, queries attend to the keys of
+        `tokens` themselves.  With one, a list of per-layer (keys, values)
+        arrays of shape (B * H, slots, d_head), each layer first writes its
+        rotated keys and values at `positions`, and the queries then attend
+        over cache slots [0, mask.shape[-1]).
+        """
         cfg = self.config
         h = cfg.n_heads
         inv_sqrt = 1.0 / np.sqrt(cfg.d_head)
-        mask = self._causal_mask(s)
-        cos, sin = self._rope_cos[:s], self._rope_sin[:s]
+        if isinstance(positions, slice):
+            head_pos, slots = positions, (slice(None), positions)
+        else:  # per-row positions: one copy per (row, head) pair of split_heads
+            head_pos = np.repeat(positions, h, axis=0)
+            slots = (np.arange(head_pos.shape[0])[:, None], head_pos)
+        cos, sin = self._rope_cos[head_pos], self._rope_sin[head_pos]
 
         x = ad.embedding(self.embedding, tokens)
         if cfg.pe_kind is PeKind.SINPE:
-            x = ad.add(x, ad.Tensor(self._sinpe[:s]))
+            x = ad.add(x, ad.Tensor(self._sinpe[positions]))
         for layer in range(cfg.n_layers):
             p = self.params
             pre = f"layers.{layer}."
@@ -222,6 +222,11 @@ class Transformer:
             if cfg.pe_kind is PeKind.ROPE:
                 q = ad.rope_rotate(q, cos, sin)
                 k = ad.rope_rotate(k, cos, sin)
+            if cache is not None:
+                keys, values = cache[layer]
+                keys[slots], values[slots] = k.data, v.data
+                width = mask.shape[-1]
+                k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
             o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask), h)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
@@ -230,21 +235,46 @@ class Transformer:
         x = ad.rmsnorm(x, self.params["final_norm"])
         return ad.matmul(x, self.params["head"])
 
-    def generate_greedy(self, prompt: np.ndarray, n: int) -> np.ndarray:
-        """Argmax continuation of `n` tokens (ties resolve to the smallest id)."""
-        prompt = np.asarray(prompt)
-        if prompt.ndim != 2:
-            raise LengthError(f"prompt must be (batch, length), got {prompt.shape}")
-        if prompt.shape[1] + n > self.config.max_seq_len:
+    def generate_greedy(self, prompts, n: int) -> np.ndarray:
+        """Argmax continuations of `n` tokens, shape (len(prompts), n).
+
+        `prompts` is a list of 1-D id arrays of any lengths, or a 2-D array
+        of equal-length rows.  One right-padded forward over all prompts
+        fills a key/value cache and gives each row's first token from its
+        own last prompt position; every later step feeds only the newest
+        token of each row, at that row's next absolute position, and
+        attends over the row's cached slots up to it.  Ties resolve to the
+        smallest id.
+        """
+        rows = [np.asarray(p) for p in prompts]
+        if any(r.ndim != 1 or r.size == 0 for r in rows):
+            raise LengthError("every prompt must be a non-empty 1-D id sequence")
+        lengths = np.array([r.size for r in rows])
+        longest = int(lengths.max())
+        if longest + n > self.config.max_seq_len:
             raise LengthError(
-                f"prompt {prompt.shape[1]} + {n} new tokens exceeds max_seq_len {self.config.max_seq_len}")
-        ids = prompt.copy()
-        out = np.zeros((prompt.shape[0], n), dtype=prompt.dtype)
-        for step in range(n):
-            logits = self.forward(ids).data[:, -1, :]
-            nxt = logits.argmax(axis=-1).astype(prompt.dtype)
-            out[:, step] = nxt
-            ids = np.concatenate([ids, nxt[:, None]], axis=1)
+                f"prompt {longest} + {n} new tokens exceeds max_seq_len {self.config.max_seq_len}")
+        b = len(rows)
+        out = np.zeros((b, n), dtype=np.int64)
+        if n == 0:
+            return out
+        cfg = self.config
+        tokens = np.full((b, longest), PAD_ID, dtype=np.int64)
+        for i, r in enumerate(rows):
+            tokens[i, :r.size] = r
+        dtype = self.embedding.data.dtype
+        shape = (b * cfg.n_heads, longest + n, cfg.d_head)
+        cache = [(np.zeros(shape, dtype), np.zeros(shape, dtype)) for _ in range(cfg.n_layers)]
+        logits = self._run(tokens, slice(0, longest), self._causal_mask(longest), cache).data
+        out[:, 0] = logits[np.arange(b), lengths - 1].argmax(axis=-1)
+        slot = np.arange(longest + n)
+        for step in range(1, n):
+            pos = lengths + (step - 1)  # where each row's newest token sits
+            head_pos = np.repeat(pos, cfg.n_heads)
+            width = int(pos.max()) + 1
+            mask = np.where(slot[None, None, :width] > head_pos[:, None, None], -np.inf, 0.0).astype(dtype)
+            logits = self._run(out[:, step - 1:step], pos[:, None], mask, cache).data
+            out[:, step] = logits[:, 0].argmax(axis=-1)
         return out
 
     def state_tensors(self) -> dict[str, ad.Tensor]:
@@ -253,7 +283,11 @@ class Transformer:
 
 
 def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 0) -> None:
-    """Single file: uint32 length, JSON manifest, little-endian float32 blob."""
+    """Single file: uint32 length, JSON manifest, little-endian float32 blob.
+
+    The file is written beside `path` and renamed over it, so a crash or a
+    failed write leaves either the previous checkpoint or the new one.
+    """
     tensors = model.state_tensors()
     index = []
     offset = 0
@@ -271,11 +305,20 @@ def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 
         "tensors": index,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Transformer, int, int]:

@@ -16,6 +16,12 @@ def causal_mask(s):
     return np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
 
 
+def per_row_mask(last_slot, sk):
+    """(N, Sq, Sk) additive mask; query j of row i sees key slots 0..last_slot[i][j]."""
+    last = np.asarray(last_slot)
+    return np.where(np.arange(sk)[None, None, :] > last[:, :, None], -np.inf, 0.0)
+
+
 def attention_probs(q, k, scale=1.0, mask=None):
     """The softmax inside `attention`, read out by attending to identity values."""
     n, s, _ = q.shape
@@ -184,6 +190,14 @@ class TestGradCheckPrimitives:
                                      np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
+    def test_attention_over_longer_keys_with_per_row_mask(self):
+        rng = np.random.default_rng(19)
+        q, k, v = rand64(rng, 3, 2, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
+        mask = per_row_mask([[2, 3], [3, 4], [1, 2]], 5)
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, mask),
+                                     np.ones((3, 2), int), np.ones((3, 2)))
+        self.check(f, [q, k, v])
+
     def test_rmsnorm(self):
         rng = np.random.default_rng(18)
         a, g, w = rand64(rng, 2, 3, 6), t64(np.ones(6)), rand64(rng, 6, 4)
@@ -273,6 +287,32 @@ def test_attention_blocks_agree_with_one_block(monkeypatch):
     blocked = _attention_run(q, k, v, mask)
     for a, b in zip(whole, blocked):
         np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
+
+
+def test_attention_over_longer_keys_matches_float64_reference(monkeypatch):
+    # Decoding's shape: a few queries per row over a longer key cache, each
+    # row masked at its own last slot, across several blocks.
+    rng = np.random.default_rng(33)
+    n, sq, sk = 7, 2, 9
+    q, k, v = (rng.standard_normal(shape).astype(np.float32)
+               for shape in ((n, sq, 8), (n, sk, 8), (n, sk, 5)))
+    last = rng.integers(0, sk - 1, size=(n, 1)) + np.arange(sq)
+    mask = per_row_mask(last, sk)
+    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1) * 0.35 + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    expect = e / e.sum(axis=-1, keepdims=True) @ v.astype(np.float64)
+    for block_rows in (n, 3):
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_rows * sq * sk * 4)
+        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 0.35, mask.astype(np.float32))
+        np.testing.assert_allclose(out.data, expect, rtol=1e-5, atol=1e-6)
+
+
+def test_attention_rejects_fewer_keys_or_a_misshapen_row_mask():
+    q = ad.Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeError):
+        ad.attention(q, ad.Tensor(np.zeros((2, 2, 4))), ad.Tensor(np.zeros((2, 2, 4))), 1.0)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(q, q, q, 1.0, np.zeros((1, 3, 3)))
 
 
 def test_gelu_and_attention_leave_inputs_unmodified():

@@ -162,3 +162,19 @@ class TestEndToEnd:
     def test_plot_without_inputs_fails_validation(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "--out", str(tmp_path / "p"))
         assert code == 1
+
+    def test_runtime_shape_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        from coper import evaluation
+        from coper.autodiff import ShapeError
+        from coper.model import ModelConfig, Transformer, save_checkpoint
+
+        def broken(*args, **kwargs):
+            raise ShapeError("cannot matmul shapes (2, 3) and (4, 5)")
+
+        monkeypatch.setattr(evaluation, "evaluate", broken)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1)), ckpt)
+        code, _, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
+                           "--out", str(tmp_path / "e"))
+        assert code == 2
+        assert "runtime failure: ShapeError" in err

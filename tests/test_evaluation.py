@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coper.codec import encode
+from coper.codec import BOS_ID, encode
 from coper.composers import AnswerLenPolicy, ComposeRule
 from coper.dataset import Split, SplitPolicy, build_dataset, load_records
 from coper.evaluation import (
@@ -9,6 +9,7 @@ from coper.evaluation import (
     EvalResult,
     InvalidTarget,
     PairAccuracyGrid,
+    decode_records,
     emit_category_bar,
     emit_heatmap,
     emit_loss_curves,
@@ -73,7 +74,8 @@ class TestEvaluate:
         def echo(prompts, n):
             out = np.zeros((len(prompts), n), dtype=np.int64)
             for i, row in enumerate(prompts):
-                out[i] = targets[tuple(int(v) for v in row)][:n]
+                target = targets[tuple(int(v) for v in row)][:n]
+                out[i, :len(target)] = target
             return out
 
         result = evaluate(None, data, predictor=echo)
@@ -84,6 +86,28 @@ class TestEvaluate:
         for grid in result.grids.values():
             for pair in grid.cells:
                 assert grid.accuracy(pair) == 1.0
+
+    def test_decode_records_batches_mixed_lengths_in_record_order(self, data):
+        records = [r for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION)
+                   for r in load_records(data, split)]
+        answer_len = {(BOS_ID,) + encode(r.input_text): len(r.target_text) for r in records}
+        calls = []
+
+        def repeat_prompt(prompts, n):
+            calls.append(([tuple(int(v) for v in p) for p in prompts], n))
+            return np.stack([np.resize(p, n) for p in prompts])
+
+        pairs = decode_records(records, repeat_prompt, batch_size=16)
+        assert [rec for rec, _ in pairs] == records
+        for rec, pred in pairs:
+            prompt = (BOS_ID,) + encode(rec.input_text)
+            assert pred == tuple(int(v) for v in np.resize(prompt, len(rec.target_text)))
+        assert len(calls) == -(-len(records) // 16)
+        assert any(len({len(p) for p in prompts}) > 1 for prompts, _ in calls)
+        for prompts, n in calls:
+            assert n == max(answer_len[p] for p in prompts)
+        lengths = [len(p) for prompts, _ in calls for p in prompts]
+        assert lengths == sorted(lengths)
 
     def test_uniform_random_digits_score_near_chance(self, data):
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from coper.model import (
     ModelConfig,
     PeKind,
     Transformer,
-    apply_rope,
     load_checkpoint,
     rope_tables,
     save_checkpoint,
@@ -36,36 +37,48 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def rotate(x: np.ndarray, positions, d_head: int, base: float = 10000.0) -> np.ndarray:
+    """Rotary rotation the way the model applies it: rope_tables rows fed to ad.rope_rotate.
+
+    x is (N, S, d_head); positions index the table rows, (S,) shared or (N, S) per row.
+    """
+    positions = np.asarray(positions)
+    cos, sin = rope_tables(d_head, int(positions.max()) + 1, base)
+    return ad.rope_rotate(ad.Tensor(x), cos[positions], sin[positions]).data
+
+
 class TestApplyRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(16)
-        assert np.allclose(apply_rope(x, 0), x)
+        x = rng.standard_normal((1, 1, 16))
+        assert np.allclose(rotate(x, [0], 16), x)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            x = rng.standard_normal(16).astype(np.float32)
-            m = int(rng.integers(0, 500))
-            assert np.linalg.norm(apply_rope(x, m)) == pytest.approx(np.linalg.norm(x), abs=1e-5)
+        x = rng.standard_normal((100, 1, 16)).astype(np.float32)
+        m = rng.integers(0, 500, size=(100, 1))
+        np.testing.assert_allclose(np.linalg.norm(rotate(x, m, 16), axis=-1),
+                                   np.linalg.norm(x, axis=-1), rtol=0, atol=1e-5)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
-            apply_rope(np.zeros(7), 1)
+            rope_tables(7, 2, 10000.0)
+        cos, sin = rope_tables(8, 2, 10000.0)
+        with pytest.raises(ad.ShapeError):
+            ad.rope_rotate(ad.Tensor(np.zeros((1, 2, 7))), cos, sin)
 
     @pytest.mark.parametrize("d_head", [8, 16, 64])
     def test_scores_depend_only_on_relative_position(self, d_head):
         rng = np.random.default_rng(2)
-        worst = 0.0
-        for _ in range(1000):
-            q = rng.standard_normal(d_head).astype(np.float32)
-            k = rng.standard_normal(d_head).astype(np.float32)
-            m, n = (int(v) for v in rng.integers(0, 256, size=2))
-            delta = int(rng.integers(0, 256))
-            base_score = float(apply_rope(q, m) @ apply_rope(k, n))
-            shifted = float(apply_rope(q, m + delta) @ apply_rope(k, n + delta))
-            worst = max(worst, abs(base_score - shifted))
-        assert worst < 1e-5
+        q = rng.standard_normal((1000, 1, d_head)).astype(np.float32)
+        k = rng.standard_normal((1000, 1, d_head)).astype(np.float32)
+        m, n = rng.integers(0, 256, size=(2, 1000, 1))
+        delta = rng.integers(0, 256, size=(1000, 1))
+
+        def score(qpos, kpos):
+            return (rotate(q, qpos, d_head) * rotate(k, kpos, d_head)).sum(axis=(1, 2))
+
+        assert np.abs(score(m, n) - score(m + delta, n + delta)).max() < 1e-5
 
     def test_sinusoidal_pe_lacks_the_invariance(self):
         # Witness search: additive absolute encodings shift scores by more
@@ -86,12 +99,16 @@ class TestApplyRope:
         assert found
 
     def test_rope_tables_match_pointwise_apply(self):
-        cos, sin = rope_tables(8, 32, 10000.0)
+        # Closed form: pair i at position p turns by the angle p * base^(-2i / d).
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 32, 8)).astype(np.float32)
-        rotated = ad.rope_rotate(ad.Tensor(x), cos, sin).data
+        rotated = rotate(x, np.arange(32), 8)
         for pos in (0, 1, 7, 31):
-            assert np.allclose(rotated[0, pos], apply_rope(x[0, pos], pos), atol=1e-6)
+            for i in range(4):
+                angle = pos * 10000.0 ** (-2.0 * i / 8)
+                turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+                expect = turn @ x[0, pos, 2 * i:2 * i + 2].astype(np.float64)
+                np.testing.assert_allclose(rotated[0, pos, 2 * i:2 * i + 2], expect, atol=1e-6)
 
 
 class TestForward:
@@ -219,6 +236,33 @@ class TestGenerate:
         with pytest.raises(LengthError):
             model.generate_greedy(np.zeros((1, 60), dtype=np.int64), 10)
 
+    def test_longest_prompt_sets_the_context_limit(self):
+        model = Transformer(TINY)
+        prompts = [np.zeros(5, dtype=np.int64), np.zeros(59, dtype=np.int64)]
+        assert model.generate_greedy(prompts, 5).shape == (2, 5)
+        prompts[1] = np.zeros(60, dtype=np.int64)
+        with pytest.raises(LengthError):
+            model.generate_greedy(prompts, 5)
+
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_cached_decoding_matches_one_forward_per_token(self, kind):
+        model = Transformer(ModelConfig(max_seq_len=200, pe_kind=kind, init_seed=3))
+        rng = np.random.default_rng(12)
+        prompts = [rng.integers(0, 17, size=n) for n in (3, 187, 40, 3, 96, 150, 12, 187, 71)]
+        n_new = 6
+        got = model.generate_greedy(prompts, n_new)
+        for prompt, row in zip(prompts, got):
+            ids = list(prompt)
+            for _ in range(n_new):
+                ids.append(int(model.forward(np.asarray([ids])).data[0, -1].argmax()))
+            assert row.tolist() == ids[len(prompt):]
+
+    def test_equal_length_array_matches_list_of_rows(self):
+        model = Transformer(TINY)
+        prompts = np.random.default_rng(13).integers(0, 17, size=(4, 9))
+        assert np.array_equal(model.generate_greedy(prompts, 5),
+                              model.generate_greedy(list(prompts), 5))
+
     def test_ties_break_to_smallest_id(self):
         model = Transformer(TINY)
         logits = np.zeros((2, 5), dtype=np.float32)
@@ -251,6 +295,35 @@ class TestCheckpoint:
         (tmp_path / "bad.ckpt").write_bytes(struct.pack("<I", len(header)) + header + raw[4 + hlen:])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import coper.model
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Transformer(TINY), path, step=1)
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(coper.model, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(Transformer(replace(TINY, init_seed=2)), path, step=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_truncated_rejected(self, tmp_path):
         model = Transformer(TINY)
