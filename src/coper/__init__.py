@@ -9,7 +9,7 @@ are designed to probe.
 
 __version__ = "0.1.0"
 
-from .composers import AnswerLenPolicy, ComposeRule, ComposeSpec  # noqa: F401
+from .composers import AnswerLenPolicy, ComposeRule  # noqa: F401
 from .cycles import PeriodicCycle  # noqa: F401
 from .dataset import SampleRecord, Split, SplitPolicy, build_dataset, verify_dataset  # noqa: F401
 from .model import ModelConfig, PeKind, Transformer  # noqa: F401

@@ -60,9 +60,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -201,21 +198,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _wrap(a.data * s, (a,), backward)
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    try:
-        data = ad * bd
-    except ValueError as exc:
-        raise ShapeError(f"cannot multiply shapes {ad.shape} and {bd.shape}") from exc
-
-    def backward(g):
-        ga = _unbroadcast(g * bd, ad.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, bd.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _wrap(data, (a, b), backward)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
@@ -384,6 +366,18 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _wrap(data, (table,), backward)
 
 
+def _token_nll(logits: np.ndarray, targets: np.ndarray):
+    """Per-position negative log-likelihood of integer `targets` under `logits`.
+
+    Returns (nll, shifted, lse): the float64 losses, the max-shifted logits
+    and their float64 log-sum-exp, which cross_entropy's backward reuses.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, dtype=np.float64))
+    picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
+    return lse - picked, shifted, lse
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean token cross-entropy over the unmasked positions (float64 scalar)."""
     ld = logits.data
@@ -397,10 +391,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
     if n_active <= 0:
         raise ShapeError("cross_entropy needs at least one unmasked position")
 
-    shifted = ld - ld.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, dtype=np.float64))
-    picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-    losses = lse - picked
+    losses, shifted, lse = _token_nll(ld, targets)
     loss = (losses * m).sum() / n_active
 
     def backward(g):
@@ -410,15 +401,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
         return (p * w[..., None],)
 
     return _wrap(np.float64(loss), (logits,), backward)
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    old = x.data.shape
-
-    def backward(g):
-        return (g.reshape(old),)
-
-    return _wrap(x.data.reshape(shape), (x,), backward)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:

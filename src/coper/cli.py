@@ -31,6 +31,12 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    from .model import write_atomic
+
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _write_stamp(out_dir: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
     """Reproducibility stamp; the only artifact that carries a timestamp."""
     from . import __version__
@@ -46,7 +52,7 @@ def _write_stamp(out_dir: Path, args: argparse.Namespace, extra: dict | None = N
     }
     if extra:
         stamp.update(extra)
-    (out_dir / "stamp.json").write_text(json.dumps(stamp, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "stamp.json", stamp)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -65,7 +71,7 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace):
-    """Profile + scale + config file + flags -> concrete settings.
+    """Profile + scale + config file + flags -> (profile, ProfileSettings).
 
     Precedence (lowest to highest): profile defaults, config file sections
     ('policy', 'counts', 'task_params', 'answer_cap', 'model', 'train'),
@@ -75,6 +81,7 @@ def _resolve(args: argparse.Namespace):
     from .dataset import Split, SplitPolicy, TaskParams
     from .model import PeKind
     from .profiles import get_profile
+    from .training import LossRegion
 
     try:
         profile = get_profile(args.profile)
@@ -83,19 +90,17 @@ def _resolve(args: argparse.Namespace):
     settings = profile.settings(args.scale)
     cfg = _load_config_file(getattr(args, "config", None))
 
-    policy = settings.policy
     if "policy" in cfg:
-        policy = SplitPolicy.from_dict(cfg["policy"])
-    counts = dict(settings.counts)
+        settings = replace(settings, policy=SplitPolicy.from_dict(cfg["policy"]))
     if "counts" in cfg:
-        counts = {Split(k): int(v) for k, v in cfg["counts"].items()}
-    task_params = settings.task_params
+        settings = replace(settings, counts={Split(k): int(v) for k, v in cfg["counts"].items()})
     if "task_params" in cfg:
-        task_params = TaskParams.from_dict({**task_params.to_dict(), **cfg["task_params"]})
-    answer_policy = settings.answer_policy
+        settings = replace(settings, task_params=TaskParams.from_dict(
+            {**settings.task_params.to_dict(), **cfg["task_params"]}))
     if "answer_cap" in cfg:
         cap = cfg["answer_cap"]
-        answer_policy = AnswerLenPolicy.full_lcm() if cap is None else AnswerLenPolicy.capped(int(cap))
+        settings = replace(settings, answer_policy=(
+            AnswerLenPolicy.full_lcm() if cap is None else AnswerLenPolicy.capped(int(cap))))
 
     model = settings.model
     if "model" in cfg:
@@ -112,24 +117,22 @@ def _resolve(args: argparse.Namespace):
     if "train" in cfg:
         fields = dict(cfg["train"])
         if "loss_region" in fields:
-            from .training import LossRegion
-
             fields["loss_region"] = LossRegion(fields["loss_region"])
         train_cfg = replace(train_cfg, **fields)
     if getattr(args, "epochs", None):
         train_cfg = replace(train_cfg, epochs=args.epochs)
 
-    return profile, policy, counts, answer_policy, task_params, model, train_cfg
+    return profile, replace(settings, model=model, train=train_cfg)
 
 
 def _cmd_gen(args) -> int:
     from .dataset import build_dataset
 
-    profile, policy, counts, answer_policy, task_params, _, _ = _resolve(args)
+    profile, settings = _resolve(args)
     out = Path(args.out)
     data_dir = out / "data" if args.nested else out
-    manifest = build_dataset(profile.rule, policy, counts, args.seed, data_dir,
-                             answer_policy=answer_policy, task_params=task_params)
+    manifest = build_dataset(profile.rule, settings.policy, settings.counts, args.seed, data_dir,
+                             answer_policy=settings.answer_policy, task_params=settings.task_params)
     _write_stamp(out, args)
     total = sum(manifest.counts.values())
     print(f"wrote {total} records across {len(manifest.files)} splits to {data_dir}")
@@ -152,9 +155,9 @@ def _cmd_train(args) -> int:
     from .model import Transformer
     from .training import train
 
-    _, _, _, _, _, model_cfg, train_cfg = _resolve(args)
-    model_cfg = replace(model_cfg, init_seed=args.seed)
-    train_cfg = replace(train_cfg, seed=args.seed)
+    _, settings = _resolve(args)
+    model_cfg = replace(settings.model, init_seed=args.seed)
+    train_cfg = replace(settings.train, seed=args.seed)
     out = Path(args.out)
     model = Transformer(model_cfg)
     _, runlog = train(model, Path(args.data), train_cfg, out_dir=out, verbose=args.verbose)
@@ -174,10 +177,9 @@ def _cmd_eval(args) -> int:
     result = evaluate(model, Path(args.data))
     emit_heatmap(result.combined_grid(), out / "heatmap.csv", out / "heatmap.svg")
     emit_category_bar([(args.name, result.report)], out / "categories.csv", out / "categories.svg")
-    (out / "report.json").write_text(
-        json.dumps({"report": result.report.to_dict(),
-                    "split_accuracy": result.split_accuracy,
-                    "split_tf_loss": result.split_tf_loss}, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", {"report": result.report.to_dict(),
+                                      "split_accuracy": result.split_accuracy,
+                                      "split_tf_loss": result.split_tf_loss})
     _write_stamp(out, args)
     rep = result.report
     print(f"id {rep.id_accuracy:.3f} hollow {rep.hollow_accuracy:.3f} "
@@ -250,42 +252,40 @@ def _cmd_run_experiment(args) -> int:
     from .model import Transformer
     from .training import train
 
-    profile, policy, counts, answer_policy, task_params, model_cfg, train_cfg = _resolve(args)
+    profile, settings = _resolve(args)
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_dir = out / "data"
-    build_dataset(profile.rule, policy, counts, args.seed, data_dir,
-                  answer_policy=answer_policy, task_params=task_params)
+    build_dataset(profile.rule, settings.policy, settings.counts, args.seed, data_dir,
+                  answer_policy=settings.answer_policy, task_params=settings.task_params)
     report = verify_dataset(data_dir)
     if not report.passed:
         first = report.first_failure()
         raise ValidationFailure(
             f"generated dataset failed verification at {first.file}:{first.line_no}: {first.reason}")
 
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     named_reports = []
     mean_acc: dict[str, float] = {}
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"
-        model = Transformer(replace(model_cfg, init_seed=seed))
-        _, runlog = train(model, data_dir, replace(train_cfg, seed=seed),
+        model = Transformer(replace(settings.model, init_seed=seed))
+        _, runlog = train(model, data_dir, replace(settings.train, seed=seed),
                           out_dir=seed_dir, verbose=args.verbose)
         emit_loss_curves(runlog, seed_dir / "curves.csv", seed_dir / "curves.svg")
         result = evaluate(model, data_dir)
         emit_heatmap(result.combined_grid(), seed_dir / "heatmap.csv", seed_dir / "heatmap.svg")
         name = f"{profile.name}-seed{seed}"
         named_reports.append((name, result.report))
-        (seed_dir / "report.json").write_text(
-            json.dumps({"report": result.report.to_dict(),
-                        "split_accuracy": result.split_accuracy}, sort_keys=True, indent=2) + "\n")
+        _write_json(seed_dir / "report.json", {"report": result.report.to_dict(),
+                                               "split_accuracy": result.split_accuracy})
         for key, val in result.report.to_dict().items():
             mean_acc[key] = mean_acc.get(key, 0.0) + val / len(seeds)
 
     emit_category_bar(named_reports, out / "categories.csv", out / "categories.svg")
-    (out / "summary.json").write_text(json.dumps(
-        {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc},
-        sort_keys=True, indent=2) + "\n")
-    _write_stamp(out, args, {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
+    _write_json(out / "summary.json",
+                {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc})
+    _write_stamp(out, args, {"model": settings.model.to_dict(), "train": settings.train.to_dict()})
     print(f"profile {profile.name}: mean id {mean_acc['id_accuracy']:.3f} "
           f"hollow {mean_acc['hollow_accuracy']:.3f} "
           f"extrapolation {mean_acc['extrapolation_accuracy']:.3f}")

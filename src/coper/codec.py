@@ -1,4 +1,4 @@
-"""Fixed character vocabulary and sample (de)serialization.
+"""Fixed character vocabulary, encoding and sample serialization.
 
 The vocabulary is frozen: ten digits, the four operator/format symbols the
 serializations need, and the two structural tokens (BOS, PAD).  Ids are
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 CHARS = "0123456789+-=.,"
 CHAR_TO_ID = {ch: i for i, ch in enumerate(CHARS)}
-ID_TO_CHAR = {i: ch for i, ch in enumerate(CHARS)}
 BOS_ID = 15
 PAD_ID = 16
 VOCAB_SIZE = 17
@@ -18,7 +17,7 @@ TokenSeq = tuple[int, ...]
 
 
 class UnknownSymbol(ValueError):
-    """A character or id outside the vocabulary; carries its offset."""
+    """A character outside the vocabulary; carries its offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -44,38 +43,8 @@ def encode(text: str) -> TokenSeq:
     return tuple(ids)
 
 
-def decode(ids, lenient: bool = False) -> str:
-    """Map ids back to text.  Inverse of encode on valid input.
-
-    Structural ids (BOS, PAD) are not characters; they raise unless
-    `lenient`, in which case they become '?' so model output can always
-    be rendered.
-    """
-    chars = []
-    for i, t in enumerate(ids):
-        ch = ID_TO_CHAR.get(int(t))
-        if ch is None:
-            if lenient and int(t) in (BOS_ID, PAD_ID):
-                ch = "?"
-            else:
-                raise UnknownSymbol(f"id {int(t)} is not a character token", i)
-        chars.append(ch)
-    return "".join(chars)
-
-
 def serialize_sample(seq1_text: str, seq2_text: str, answer_text: str) -> tuple[str, str]:
     """Two-operand layout: input 'seq1+seq2=', target the answer digits."""
     if not seq1_text or not seq2_text:
         raise ValueError("operand texts must be non-empty")
     return f"{seq1_text}+{seq2_text}=", answer_text
-
-
-def parse_sample(input_text: str, target_text: str) -> tuple[str, str, str]:
-    """Invert serialize_sample, returning (seq1, seq2, answer)."""
-    if not input_text.endswith("="):
-        raise ValueError(f"input does not end with '=': {input_text!r}")
-    body = input_text[:-1]
-    seq1, sep, seq2 = body.partition("+")
-    if not sep or not seq1 or not seq2:
-        raise ValueError(f"input is not 'seq1+seq2=': {input_text!r}")
-    return seq1, seq2, target_text

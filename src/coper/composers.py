@@ -35,7 +35,6 @@ class ComposeRule(str, Enum):
 
 
 TWO_CYCLE_RULES = frozenset({ComposeRule.MOD_ADD, ComposeRule.ADD_SUB_ALT, ComposeRule.CIRC_CONV})
-SINGLE_CYCLE_RULES = frozenset({ComposeRule.SCALED_SINGLE, ComposeRule.SINGLE_PERIOD})
 
 
 @dataclass(frozen=True)
@@ -60,26 +59,6 @@ class AnswerLenPolicy:
     @property
     def kind(self) -> str:
         return "full_lcm" if self.max_len is None else "capped"
-
-
-@dataclass(frozen=True)
-class ComposeSpec:
-    """A composite rule plus the periods and modulus it runs with."""
-
-    rule: ComposeRule
-    p1: int
-    p2: int = 1  # ignored by single-sequence rules
-    modulus: int = 10
-    answer_len_policy: AnswerLenPolicy = AnswerLenPolicy(None)
-
-    def __post_init__(self):
-        if self.p1 < 1 or self.p2 < 1:
-            raise InvalidPeriod(f"periods must be >= 1, got ({self.p1}, {self.p2})")
-        if self.modulus < 2:
-            raise InvalidPeriod(f"modulus must be >= 2, got {self.modulus}")
-        cap = self.answer_len_policy.max_len
-        if cap is not None and (cap < self.p1 or cap < self.p2):
-            raise InvalidSpec(f"answer cap {cap} shorter than a period ({self.p1}, {self.p2})")
 
 
 def _check_values(cycle: PeriodicCycle, modulus: int) -> None:

@@ -1,9 +1,7 @@
-"""Fundamental periodic cycles and the group actions that move them.
+"""Fundamental periodic cycles, their minimal periods, and the lcm of two.
 
 A cycle is the length-P list of values whose infinite repetition defines a
-periodic sequence.  Two cyclic groups act on these objects: a shift group
-moving positions, and a modulo group incrementing values.  Their direct
-product acts on (position, value) pairs componentwise.
+periodic sequence.
 """
 
 from __future__ import annotations
@@ -45,33 +43,6 @@ class PeriodicCycle:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ShiftPower:
-    """Integer power of the position-shift generator (negative = inverse)."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class ModuloPower:
-    """Integer power of the value-increment generator, modulo p."""
-
-    j: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise InvalidPeriod(f"modulus must be >= 2, got {self.p}")
-
-
-@dataclass(frozen=True)
-class CompositeAction:
-    """Element of the direct product shift-group x modulo-group."""
-
-    shift: ShiftPower
-    modulo: ModuloPower
-
-
 def minimal_period(cycle: PeriodicCycle) -> int:
     """Smallest d dividing len(cycle) with values[i] == values[i mod d]."""
     values = cycle.values
@@ -89,40 +60,3 @@ def lcm(a: int, b: int) -> int:
     if a < 1 or b < 1:
         raise InvalidPeriod(f"periods must be >= 1, got ({a}, {b})")
     return a * b // math.gcd(a, b)
-
-
-def extend(cycle: PeriodicCycle, length: int) -> tuple[int, ...]:
-    """Repeat the cycle out to `length` values: out[t] = values[t mod P]."""
-    if length < 1:
-        raise InvalidPeriod(f"length must be >= 1, got {length}")
-    values = cycle.values
-    n = len(values)
-    reps, rem = divmod(length, n)
-    return values * reps + values[:rem]
-
-
-def shift_apply(seq, power: ShiftPower | int) -> tuple[int, ...]:
-    """Act on a finite sequence (read cyclically) by a shift power.
-
-    out[t] = seq[(t - k) mod len(seq)], so k = 1 moves content one step
-    later; composing powers adds exponents and k = 0 is the identity.
-    """
-    k = power.k if isinstance(power, ShiftPower) else int(power)
-    seq = tuple(seq)
-    if len(seq) == 0:
-        raise InvalidCycle("cannot shift an empty sequence")
-    n = len(seq)
-    return tuple(seq[(t - k) % n] for t in range(n))
-
-
-def composite_act(action: CompositeAction, position: int, value: int) -> tuple[int, int]:
-    """Apply a direct-product element to a (position, value) pair.
-
-    Shift power i moves the position index to position - i; modulo power j
-    increments the value by j modulo p.  Acting twice composes additively
-    in both exponents.
-    """
-    p = action.modulo.p
-    if not 0 <= value < p:
-        raise InvalidValue(f"value {value} outside [0, {p})")
-    return position - action.shift.k, (value + action.modulo.j) % p

@@ -23,7 +23,6 @@ from .composers import (
     AnswerLenPolicy,
     ComposeRule,
     InvalidSpec,
-    SINGLE_CYCLE_RULES,
     TWO_CYCLE_RULES,
     compose_addsub,
     compose_circconv,
@@ -35,6 +34,8 @@ from .composers import (
 from .cycles import PeriodicCycle, lcm, minimal_period
 
 FORMAT_VERSION = "coper-1"
+# Cycle values of the digit tasks, and their composed answers, live in [0, 10).
+_MODULUS = 10
 
 
 class OutOfRange(ValueError):
@@ -252,6 +253,8 @@ class DatasetManifest:
     def from_dict(cls, d: dict) -> "DatasetManifest":
         if d.get("format_version") != FORMAT_VERSION:
             raise InvalidSpec(f"unsupported dataset format: {d.get('format_version')!r}")
+        if d.get("vocab") != codec.vocab_table():
+            raise InvalidSpec(f"dataset vocabulary {d.get('vocab')!r} is not this codec's table")
         alp = d["answer_len_policy"]
         return cls(
             rule=ComposeRule(d["rule"]),
@@ -357,7 +360,6 @@ def build_dataset(
     master_seed: int,
     out_dir: Path,
     *,
-    modulus: int = 10,
     answer_policy: AnswerLenPolicy = AnswerLenPolicy(120),
     task_params: TaskParams = TaskParams(),
 ) -> DatasetManifest:
@@ -399,7 +401,7 @@ def build_dataset(
             else:
                 pairs = pair_lists[split]
                 pair = pairs[int(rng.integers(len(pairs)))]
-            rec = make_record(rule, split, pair, i, rng, modulus, answer_policy, task_params)
+            rec = make_record(rule, split, pair, i, rng, _MODULUS, answer_policy, task_params)
             lines.append(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
         (out_dir / name).write_text("\n".join(lines) + "\n")
         files[split] = name
@@ -409,7 +411,7 @@ def build_dataset(
         policy=policy if rule is not ComposeRule.SINE else None,
         counts=counts,
         master_seed=master_seed,
-        modulus=modulus,
+        modulus=_MODULUS,
         answer_policy=answer_policy,
         task_params=task_params,
         files=files,

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import BOS_ID, encode
-from .dataset import DatasetManifest, Split, load_records
+from .codec import BOS_ID, VOCAB_SIZE, encode
+from .dataset import Split, load_records
 from .model import ConfigError, Transformer
 from .training import LossRegion, encode_records, teacher_forced_metrics
 
@@ -26,14 +26,11 @@ class InvalidTarget(ValueError):
     """Accuracy against an empty target is undefined."""
 
 
-def token_accuracy(pred, target) -> float:
-    """Fraction of aligned positions that match; missing positions count wrong."""
-    target = tuple(target)
+def token_hits(pred, target) -> int:
+    """Aligned positions where pred matches target; missing positions count wrong."""
     if len(target) == 0:
         raise InvalidTarget("target must be non-empty")
-    pred = tuple(pred)
-    hits = sum(1 for i, t in enumerate(target) if i < len(pred) and pred[i] == t)
-    return hits / len(target)
+    return sum(1 for p, t in zip(pred, target) if p == t)
 
 
 @dataclass
@@ -52,11 +49,6 @@ class PairAccuracyGrid:
         if cell is None or cell[1] == 0:
             return None
         return cell[0] / cell[1]
-
-    def overall(self) -> float:
-        correct = sum(c for c, _ in self.cells.values())
-        total = sum(t for _, t in self.cells.values())
-        return correct / total if total else 0.0
 
 
 @dataclass
@@ -125,29 +117,20 @@ def decode_records(records, predictor, batch_size: int = 64):
     return list(zip(records, out))
 
 
-def evaluate(
-    model: Transformer | None,
-    data_dir: Path,
-    batch_size: int = 64,
-    max_samples_per_split: int | None = None,
-    predictor=None,
-    loss_region: LossRegion = LossRegion.ANSWER_ONLY,
-) -> EvalResult:
-    """Decoded accuracy per (P1, P2) pair and per category, plus TF losses.
+def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalResult:
+    """Decoded accuracy per (P1, P2) pair and per category, plus answer-only
+    teacher-forced losses.
 
     A custom `predictor(prompts, n) -> ids` replaces the model's greedy
     decoding (used by the harness self-tests).  It receives a list of 1-D
     prompt arrays and the batch's longest answer length `n`, and returns at
     least `n` ids per row.  Losses require a model and are skipped when one
-    is not given.
+    is not given.  Loading each split rejects a dataset whose manifest has a
+    foreign format or vocabulary.
     """
-    data_dir = Path(data_dir)
-    manifest = DatasetManifest.load(data_dir / "manifest.json")
     if model is not None:
-        if model.config.vocab_size != len(manifest.to_dict()["vocab"]):
-            raise ConfigError(
-                f"model vocab {model.config.vocab_size} != dataset vocab "
-                f"{len(manifest.to_dict()['vocab'])}")
+        if model.config.vocab_size != VOCAB_SIZE:
+            raise ConfigError(f"model vocab {model.config.vocab_size} != codec vocab {VOCAB_SIZE}")
         if predictor is None:
             predictor = greedy_predictor(model)
     elif predictor is None:
@@ -160,20 +143,18 @@ def evaluate(
         records = load_records(data_dir, split)
         if not records:
             continue
-        if max_samples_per_split is not None:
-            records = records[:max_samples_per_split]
         grid = PairAccuracyGrid()
         correct_total = [0, 0]
-        for rec, pred in decode_records(records, predictor, batch_size):
+        for rec, pred in decode_records(records, predictor):
             target = encode(rec.target_text)
-            hits = sum(1 for i, t in enumerate(target) if i < len(pred) and pred[i] == t)
+            hits = token_hits(pred, target)
             grid.add((rec.p1, rec.p2), hits, len(target))
             correct_total[0] += hits
             correct_total[1] += len(target)
         grids[split] = grid
         split_accuracy[split.value] = correct_total[0] / correct_total[1]
         if model is not None:
-            loss_v, _ = teacher_forced_metrics(model, encode_records(records), loss_region)
+            loss_v, _ = teacher_forced_metrics(model, encode_records(records), LossRegion.ANSWER_ONLY)
             split_tf_loss[split.value] = loss_v
 
     def acc(split):

@@ -283,11 +283,8 @@ class Transformer:
 
 
 def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 0) -> None:
-    """Single file: uint32 length, JSON manifest, little-endian float32 blob.
-
-    The file is written beside `path` and renamed over it, so a crash or a
-    failed write leaves either the previous checkpoint or the new one.
-    """
+    """Single file: uint32 length, JSON manifest, little-endian float32 blob,
+    written atomically (see `write_atomic`)."""
     tensors = model.state_tensors()
     index = []
     offset = 0
@@ -305,14 +302,22 @@ def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 
         "tensors": index,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    write_atomic(path, struct.pack("<I", len(header)), header, *blobs)
+
+
+def write_atomic(path, *chunks: bytes | str) -> None:
+    """Write `chunks` (str is UTF-8 encoded) to `path` as one replacement.
+
+    The chunks go to `.<name>.tmp` beside `path`, which is fsynced and then
+    renamed over `path`, so a crash or a failed write leaves either the
+    previous file or the new one, and never the temporary file.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

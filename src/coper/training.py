@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .codec import BOS_ID, PAD_ID, encode
 from .dataset import SampleRecord, Split, load_records
-from .model import ModelConfig, Transformer, save_checkpoint
+from .model import Transformer, save_checkpoint, write_atomic
 
 
 class DivergenceError(RuntimeError):
@@ -55,14 +55,6 @@ class TrainConfig:
             raise ValueError("rates must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size, and eval_every must be >= 1")
-
-    @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
-        """Small-model budget: a 64-wide transformer needs a larger step size
-        than the full-scale defaults are tuned for."""
-        base = dict(batch_size=64, learning_rate=3e-4, epochs=40, eval_every=2)
-        base.update(overrides)
-        return cls(**base)
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -127,10 +119,6 @@ class EvalPoint:
     def id_loss(self):
         return self.split_loss.get(Split.TEST_ID.value)
 
-    @property
-    def ood_loss(self):
-        return self.split_loss.get("ood")
-
 
 @dataclass
 class RunLog:
@@ -187,9 +175,8 @@ class RunLog:
     def save(self, out_dir: Path, stem: str = "runlog") -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{stem}.csv").write_text(self.to_csv_text())
-        (out_dir / f"{stem}.json").write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_atomic(out_dir / f"{stem}.csv", self.to_csv_text())
+        write_atomic(out_dir / f"{stem}.json", json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 class AdamW:
@@ -235,14 +222,15 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion,
     for i in range(0, len(samples), batch_size):
         inputs, labels, mask = batch_arrays(samples[i:i + batch_size], loss_region)
         logits = model.forward(inputs).data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=-1, dtype=np.float64))
-        picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
-        total_loss += float(((lse - picked) * mask).sum())
+        total_loss += float((ad._token_nll(logits, labels)[0] * mask).sum())
         pred = logits.argmax(axis=-1)
         total_correct += int(((pred == labels) * mask).sum())
         total += int(mask.sum())
     return total_loss / total, total_correct / total
+
+
+# Records per test split scored at each eval point.
+_EVAL_MAX_SAMPLES = 512
 
 
 def _snapshot(model: Transformer) -> dict:
@@ -254,14 +242,14 @@ def train(
     data_dir: Path,
     config: TrainConfig,
     out_dir: Path | None = None,
-    eval_max_samples: int = 512,
     verbose: bool = False,
 ) -> tuple[Transformer, RunLog]:
     """Run the full protocol; returns the trained model and its RunLog.
 
     Deterministic given config.seed.  Losses use cross-entropy masked to the
-    configured region; every eval_every epochs the ID and OOD test splits
-    are scored teacher-forced (decoded accuracy is the evaluator's job).
+    configured region; every eval_every epochs the first _EVAL_MAX_SAMPLES
+    records of each test split are scored teacher-forced (decoded accuracy
+    is the evaluator's job).
     """
     train_records = load_records(data_dir, Split.TRAIN)
     if not train_records:
@@ -271,7 +259,7 @@ def train(
     for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
         records = load_records(data_dir, split)
         if records:
-            eval_sets[split] = encode_records(records[:eval_max_samples])
+            eval_sets[split] = encode_records(records[:_EVAL_MAX_SAMPLES])
 
     embedding_before = model.embedding.data.copy()
     opt = AdamW(model.parameters(), config)
@@ -324,51 +312,3 @@ def train(
         save_checkpoint(model, out_dir / "model.ckpt", step=steps, master_seed=config.seed)
         runlog.save(out_dir)
     return model, runlog
-
-
-@dataclass
-class MultiSeedReport:
-    seeds: list
-    per_seed: list          # final-point metric dicts, one per seed
-    mean: dict              # elementwise mean of those metrics
-    runlogs: list
-
-    def to_dict(self) -> dict:
-        return {"seeds": self.seeds, "per_seed": self.per_seed, "mean": self.mean}
-
-
-def _final_metrics(runlog: RunLog) -> dict:
-    pt = runlog.final
-    out = {"train_loss": pt.train_loss}
-    for split, loss in pt.split_loss.items():
-        out[f"loss/{split}"] = loss
-    for split, acc in pt.split_accuracy.items():
-        out[f"accuracy/{split}"] = acc
-    return out
-
-
-def multi_seed(
-    model_config: ModelConfig,
-    data_dir: Path,
-    config: TrainConfig,
-    seeds: list,
-    out_dir: Path | None = None,
-) -> MultiSeedReport:
-    """Train once per seed (seed drives init and batching) and average."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    per_seed, runlogs = [], []
-    for seed in seeds:
-        model = Transformer(replace(model_config, init_seed=seed))
-        seed_dir = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
-        _, runlog = train(model, data_dir, replace(config, seed=seed), seed_dir)
-        per_seed.append(_final_metrics(runlog))
-        runlogs.append(runlog)
-    keys = sorted(set().union(*per_seed))
-    mean = {k: float(np.mean([m[k] for m in per_seed if k in m])) for k in keys}
-    report = MultiSeedReport(list(seeds), per_seed, mean, runlogs)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "summary.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    return report

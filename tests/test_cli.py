@@ -80,6 +80,17 @@ class TestGenVerify:
         code, stdout, _ = run(capsys, "verify", "--data", str(out))
         assert code == 1 and "FAIL" in stdout
 
+    def test_verify_rejects_foreign_vocabulary(self, tmp_path, capsys, micro_config):
+        out = tmp_path / "d"
+        run(capsys, "gen", "--profile", "coper-default", "--out", str(out),
+            "--config", micro_config)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["vocab"] = {"0": 0, "x": 1}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "verify", "--data", str(out))
+        assert code == 1
+        assert "vocabulary" in err
+
     def test_unknown_profile_exits_one(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--profile", "bogus", "--out", str(tmp_path / "x"))
         assert code == 1
@@ -128,6 +139,22 @@ class TestEndToEnd:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["profile"] == "coper-default"
         assert "id_accuracy" in summary["mean"]
+
+    def test_run_experiment_is_byte_deterministic(self, tmp_path, capsys, micro_config):
+        trees = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code, _, err = run(capsys, "run-experiment", "coper-default", "--seed", "4",
+                               "--out", str(out), "--config", micro_config)
+            assert code == 0, err
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        a, b = trees
+        assert a.keys() == b.keys()
+        assert {"data/train.jsonl", "data/manifest.json", "seed_4/model.ckpt", "seed_4/runlog.csv",
+                "seed_4/runlog.json", "seed_4/report.json", "seed_4/heatmap.svg",
+                "categories.csv", "summary.json"} <= a.keys()
+        assert [k for k in a if a[k] != b[k] and k != "stamp.json"] == []
 
     def test_train_then_eval_then_plot(self, tmp_path, capsys, micro_config):
         data = tmp_path / "d"

@@ -7,9 +7,7 @@ from coper.codec import (
     PAD_ID,
     VOCAB_SIZE,
     UnknownSymbol,
-    decode,
     encode,
-    parse_sample,
     serialize_sample,
     vocab_table,
 )
@@ -35,7 +33,6 @@ def test_fixed_width_value_is_ten_ids():
 
 def test_empty_round_trip():
     assert encode("") == ()
-    assert decode(()) == ""
 
 
 def test_round_trip_random_strings():
@@ -44,19 +41,13 @@ def test_round_trip_random_strings():
     for _ in range(10_000):
         n = int(rng.integers(0, 24))
         text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=n))
-        assert decode(encode(text)) == text
+        assert encode(text) == tuple(CHARS.index(ch) for ch in text)
 
 
 def test_unknown_character_offset():
     with pytest.raises(UnknownSymbol) as err:
         encode("12x3")
     assert err.value.offset == 2
-
-
-def test_decode_rejects_structural_ids_unless_lenient():
-    with pytest.raises(UnknownSymbol):
-        decode((BOS_ID,))
-    assert decode((1, PAD_ID), lenient=True) == "1?"
 
 
 def test_serialize_sample():
@@ -70,7 +61,9 @@ def test_parse_inverts_serialize():
         s1 = "".join(str(d) for d in rng.integers(0, 10, size=int(rng.integers(1, 12))))
         s2 = "".join(str(d) for d in rng.integers(0, 10, size=int(rng.integers(1, 12))))
         ans = "".join(str(d) for d in rng.integers(0, 10, size=int(rng.integers(1, 12))))
-        assert parse_sample(*serialize_sample(s1, s2, ans)) == (s1, s2, ans)
+        input_text, target_text = serialize_sample(s1, s2, ans)
+        assert input_text.endswith("=") and target_text == ans
+        assert input_text[:-1].split("+") == [s1, s2]
 
 
 def test_serialize_rejects_empty_operand():

@@ -6,7 +6,6 @@ import pytest
 from coper.composers import (
     AnswerLenPolicy,
     ComposeRule,
-    ComposeSpec,
     FormatOverflow,
     InvalidSpec,
     compose_addsub,
@@ -19,7 +18,8 @@ from coper.composers import (
     gen_single_continuation,
     parse_fixed10,
 )
-from coper.cycles import InvalidValue, PeriodicCycle, lcm, minimal_period, shift_apply
+from coper.cycles import InvalidValue, PeriodicCycle, lcm, minimal_period
+from coper.dataset import Split, SplitPolicy, build_dataset
 
 
 def random_cycle(rng, max_len=8, base=10):
@@ -115,10 +115,10 @@ class TestCircConv:
         for _ in range(1000):
             c1, c2 = random_cycle(rng, 6), random_cycle(rng, 6)
             k = int(rng.integers(-10, 11))
-            rotated_in = PeriodicCycle(shift_apply(c1.values, k))
+            rotated_in = PeriodicCycle(np.roll(c1.values, k))
             lhs = compose_circconv_raw(rotated_in, c2)
-            rhs = shift_apply(compose_circconv_raw(c1, c2), k)
-            assert lhs == rhs
+            rhs = np.roll(compose_circconv_raw(c1, c2), k)
+            assert list(lhs) == rhs.tolist()
 
 
 class TestScaledSingle:
@@ -209,9 +209,11 @@ class TestSinePairs:
 
 
 class TestComposeSpec:
-    def test_cap_must_cover_periods(self):
-        with pytest.raises(InvalidSpec):
-            ComposeSpec(ComposeRule.MOD_ADD, p1=8, p2=3, answer_len_policy=AnswerLenPolicy.capped(5))
+    def test_cap_must_cover_periods(self, tmp_path):
+        policy = SplitPolicy(2, 4, 2, 6)
+        with pytest.raises(InvalidSpec, match="shorter than the largest period 6"):
+            build_dataset(ComposeRule.MOD_ADD, policy, {Split.TRAIN: 1}, 0, tmp_path,
+                          answer_policy=AnswerLenPolicy.capped(5))
 
     def test_policy_lengths(self):
         assert AnswerLenPolicy.full_lcm().answer_len(77) == 77

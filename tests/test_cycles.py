@@ -1,20 +1,8 @@
 import numpy as np
 import pytest
 
-from coper.cycles import (
-    CompositeAction,
-    InvalidCycle,
-    InvalidPeriod,
-    InvalidValue,
-    ModuloPower,
-    PeriodicCycle,
-    ShiftPower,
-    composite_act,
-    extend,
-    lcm,
-    minimal_period,
-    shift_apply,
-)
+from coper.composers import compose_modadd
+from coper.cycles import InvalidCycle, InvalidPeriod, PeriodicCycle, lcm, minimal_period
 
 
 def naive_period(values):
@@ -67,8 +55,8 @@ class TestMinimalPeriod:
             n = int(rng.integers(1, 10))
             c = PeriodicCycle(tuple(int(v) for v in rng.integers(0, 10, size=n)))
             d = minimal_period(c)
-            ext = extend(c, 3 * d)
-            assert shift_apply(ext, ShiftPower(d)) == ext
+            ext = compose_modadd(c, PeriodicCycle((0,)), 10, 3 * d)
+            assert np.roll(ext, d).tolist() == list(ext)
 
 
 class TestLcm:
@@ -93,6 +81,9 @@ class TestLcm:
 
 
 class TestExtend:
+    """A cycle's extension, as the generators build it: adding the all-zero
+    cycle modulo 10 leaves out[t] = values[t mod P]."""
+
     @pytest.mark.parametrize(
         "values,length,expected",
         [
@@ -102,79 +93,8 @@ class TestExtend:
         ],
     )
     def test_examples(self, values, length, expected):
-        assert extend(PeriodicCycle(values), length) == expected
+        assert compose_modadd(PeriodicCycle(values), PeriodicCycle((0,)), 10, length) == expected
 
     def test_rejects_bad_length(self):
         with pytest.raises(InvalidPeriod):
-            extend(PeriodicCycle((1,)), 0)
-
-
-class TestShiftApply:
-    @pytest.mark.parametrize(
-        "seq,k,expected",
-        [
-            ((1, 2, 3), 3, (1, 2, 3)),
-            ((1, 2, 3), 1, (3, 1, 2)),
-            ((1, 2, 3), 0, (1, 2, 3)),
-        ],
-    )
-    def test_examples(self, seq, k, expected):
-        assert shift_apply(seq, ShiftPower(k)) == expected
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidCycle):
-            shift_apply((), ShiftPower(1))
-
-    def test_group_action_composes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            n = int(rng.integers(1, 12))
-            seq = tuple(int(v) for v in rng.integers(0, 10, size=n))
-            a, b = (int(v) for v in rng.integers(-20, 21, size=2))
-            assert shift_apply(shift_apply(seq, a), b) == shift_apply(seq, a + b)
-            assert shift_apply(seq, 0) == seq
-
-
-class TestCompositeAct:
-    @pytest.mark.parametrize(
-        "i,j,k,v,p,expected",
-        [
-            (0, 0, 5, 3, 10, (5, 3)),
-            (2, 3, 5, 9, 10, (3, 2)),
-            (-1, 10, 0, 4, 10, (1, 4)),
-        ],
-    )
-    def test_examples(self, i, j, k, v, p, expected):
-        action = CompositeAction(ShiftPower(i), ModuloPower(j, p))
-        assert composite_act(action, k, v) == expected
-
-    def test_rejects_out_of_range_value(self):
-        action = CompositeAction(ShiftPower(0), ModuloPower(1, 10))
-        with pytest.raises(InvalidValue):
-            composite_act(action, 0, 10)
-
-    def test_modulo_order_p(self):
-        # A power of p on the value axis acts as the identity.
-        for k in range(-5, 6):
-            for v in range(10):
-                full = CompositeAction(ShiftPower(0), ModuloPower(10, 10))
-                ident = CompositeAction(ShiftPower(0), ModuloPower(0, 10))
-                assert composite_act(full, k, v) == composite_act(ident, k, v)
-
-    def test_composition_adds_exponents(self):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            p = int(rng.integers(2, 12))
-            i1, i2 = (int(v) for v in rng.integers(-8, 9, size=2))
-            j1, j2 = (int(v) for v in rng.integers(-8, 9, size=2))
-            k = int(rng.integers(-10, 11))
-            v = int(rng.integers(0, p))
-            once = composite_act(
-                CompositeAction(ShiftPower(i1 + i2), ModuloPower(j1 + j2, p)), k, v)
-            k1, v1 = composite_act(CompositeAction(ShiftPower(i1), ModuloPower(j1, p)), k, v)
-            twice = composite_act(CompositeAction(ShiftPower(i2), ModuloPower(j2, p)), k1, v1)
-            assert once == twice
-
-    def test_modulo_power_requires_p_ge_2(self):
-        with pytest.raises(InvalidPeriod):
-            ModuloPower(0, 1)
+            compose_modadd(PeriodicCycle((1,)), PeriodicCycle((0,)), 10, 0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coper.composers import AnswerLenPolicy, ComposeRule
+from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
 from coper.cycles import minimal_period
 from coper.dataset import (
     DatasetManifest,
@@ -228,6 +228,19 @@ class TestVerifyDataset:
         report = verify_dataset(tmp_path)
         assert not report.passed
         assert any("declares" in f.reason for f in report.failures)
+
+    def test_foreign_vocabulary_rejected(self, tmp_path):
+        build_tiny(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["vocab"] = {"0": 0, "x": 1}
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InvalidSpec, match="vocabulary"):
+            verify_dataset(tmp_path)
+        del manifest["vocab"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InvalidSpec, match="vocabulary"):
+            verify_dataset(tmp_path)
 
 
 def test_record_round_trip():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from coper.codec import BOS_ID, encode
-from coper.composers import AnswerLenPolicy, ComposeRule
+from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
 from coper.dataset import Split, SplitPolicy, build_dataset, load_records
 from coper.evaluation import (
     CategoryReport,
@@ -14,9 +16,9 @@ from coper.evaluation import (
     emit_heatmap,
     emit_loss_curves,
     evaluate,
-    token_accuracy,
+    token_hits,
 )
-from coper.model import ModelConfig, Transformer
+from coper.model import ConfigError, ModelConfig, Transformer
 from coper.training import EvalPoint, RunLog
 
 POLICY = SplitPolicy(2, 4, 2, 5, hollow=frozenset({(3, 3)}))
@@ -34,20 +36,21 @@ def data(tmp_path_factory):
 
 class TestTokenAccuracy:
     def test_exact_match(self):
-        assert token_accuracy((1, 2, 3), (1, 2, 3)) == 1.0
+        assert token_hits((1, 2, 3), (1, 2, 3)) == 3
 
     def test_half_wrong(self):
-        assert token_accuracy((1, 2, 9, 9), (1, 2, 3, 4)) == 0.5
+        assert token_hits((1, 2, 9, 9), (1, 2, 3, 4)) == 2
 
     def test_empty_prediction(self):
-        assert token_accuracy((), (1, 2, 3, 4)) == 0.0
+        assert token_hits((), (1, 2, 3, 4)) == 0
 
     def test_short_prediction_counts_missing_as_wrong(self):
-        assert token_accuracy((1, 2), (1, 2, 3, 4)) == 0.5
+        assert token_hits((1, 2), (1, 2, 3, 4)) == 2
+        assert token_hits((1, 2, 3, 4, 5), (1, 2, 3, 4)) == 4
 
     def test_empty_target_rejected(self):
         with pytest.raises(InvalidTarget):
-            token_accuracy((1,), ())
+            token_hits((1,), ())
 
 
 class TestGrid:
@@ -117,9 +120,10 @@ class TestEvaluate:
 
         result = evaluate(None, data, predictor=random_digits)
         merged = result.combined_grid()
+        correct = sum(c for c, _ in merged.cells.values())
         total = sum(t for _, t in merged.cells.values())
         assert total >= 1000 * 0.1  # enough tokens for the binomial bound below
-        assert abs(merged.overall() - 0.1) < 0.03
+        assert abs(correct / total - 0.1) < 0.03
 
     def test_model_evaluation_is_deterministic(self, data):
         model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_len=64))
@@ -134,6 +138,25 @@ class TestEvaluate:
         evaluate(model, data)
         for k, t in model.state_tensors().items():
             assert np.array_equal(t.data, before[k])
+
+    def test_foreign_vocabulary_rejected(self, data, tmp_path):
+        for name in ("manifest.json", "test_id.jsonl"):
+            (tmp_path / name).write_bytes((data / name).read_bytes())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["files"] = {"test_id": "test_id.jsonl"}
+        manifest["counts"] = {"test_id": manifest["counts"]["test_id"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_len=64))
+        assert evaluate(model, tmp_path).split_accuracy.keys() == {"test_id"}
+        manifest["vocab"] = {"0": 0, "x": 1}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidSpec, match="vocabulary"):
+            evaluate(model, tmp_path)
+
+    def test_model_vocab_must_match_codec(self, data):
+        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, vocab_size=18, max_seq_len=64))
+        with pytest.raises(ConfigError, match="vocab"):
+            evaluate(model, data)
 
     def test_category_matches_weighted_cells(self, data):
         rng = np.random.default_rng(1)

@@ -1,9 +1,12 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coper import autodiff as ad
+from coper.cli import main
 from coper.model import (
     CheckpointError,
     ConfigError,
@@ -16,6 +19,7 @@ from coper.model import (
     save_checkpoint,
     sinusoidal_table,
 )
+from coper.training import EvalPoint, RunLog
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_layers=2, ffn_mult=2, max_seq_len=64, init_seed=1)
 
@@ -270,6 +274,109 @@ class TestGenerate:
         del model
 
 
+class FailingFile:
+    """A writable file whose `fail_at`-th write raises, as on a full disk."""
+
+    def __init__(self, fh, fail_at: int):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+# A `coper --config` file small enough to build, train and decode in a moment.
+TINY_RUN = {
+    "policy": {"train_lo": 2, "train_hi": 4, "total_lo": 2, "total_hi": 5, "hollow": [[3, 3]]},
+    "answer_cap": 12,
+    "counts": {"train": 16, "test_id": 6, "test_hollow": 6, "test_extrapolation": 6},
+    "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_mult": 2, "max_seq_len": 64},
+    "train": {"batch_size": 8, "learning_rate": 1e-3, "epochs": 1, "eval_every": 1},
+}
+
+
+def _cli(tmp_path, *argv) -> int:
+    """`coper *argv --config <TINY_RUN>`."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_RUN))
+    return main([*argv, "--config", str(config)])
+
+
+def _write_runlog(tmp_path, variant):
+    log = RunLog()
+    log.append(EvalPoint(1, 2.0 + variant, {"test_id": 2.5}, {"test_id": 0.25}))
+    log.save(tmp_path / "run")
+
+
+def _gen(tmp_path, variant):
+    _cli(tmp_path, "gen", "--seed", str(variant), "--out", str(tmp_path / "gen"))
+
+
+def _eval(tmp_path, variant):
+    data = tmp_path / "gen"
+    if variant == 0:
+        _gen(tmp_path, 0)
+    ckpt = tmp_path / f"m{variant}.ckpt"
+    save_checkpoint(Transformer(replace(TINY, init_seed=variant)), ckpt)
+    main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(tmp_path / "eval")])
+
+
+def _experiment(tmp_path, variant):
+    _cli(tmp_path, "run-experiment", "coper-default", "--seed", "1", "--epochs", str(1 + variant),
+         "--out", str(tmp_path / "exp"))
+
+
+# Each writer that replaces a run output: (file it writes, a call that writes
+# a different version of it for variant 0 and variant 1).
+ATOMIC_WRITERS = {
+    "runlog.csv": ("run/runlog.csv", _write_runlog),
+    "runlog.json": ("run/runlog.json", _write_runlog),
+    "gen stamp.json": ("gen/stamp.json", _gen),
+    "eval report.json": ("eval/report.json", _eval),
+    "run-experiment report.json": ("exp/seed_1/report.json", _experiment),
+    "run-experiment summary.json": ("exp/summary.json", _experiment),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+    def test_failed_write_keeps_previous_file(self, writer, tmp_path, monkeypatch):
+        import coper.model
+
+        relative, write = ATOMIC_WRITERS[writer]
+        path = tmp_path / relative
+        write(tmp_path, 0)
+        before = path.read_bytes()
+        failed = []
+        real_open = open
+
+        def failing_open(file, *args):
+            if Path(file) == path.with_name(f".{path.name}.tmp"):
+                failed.append(path.name)
+                return FailingFile(real_open(file, *args), 1)
+            return real_open(file, *args)
+
+        monkeypatch.setattr(coper.model, "open", failing_open, raising=False)
+        try:
+            write(tmp_path, 1)  # the CLI turns the OSError into exit code 2
+        except OSError as exc:
+            assert "disk full" in str(exc)
+        assert failed == [path.name]
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        monkeypatch.undo()
+        write(tmp_path, 1)
+        assert path.read_bytes() != before
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = Transformer(TINY)
@@ -281,7 +388,6 @@ class TestCheckpoint:
         assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
         import struct
 
         model = Transformer(TINY)
@@ -302,24 +408,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(Transformer(TINY), path, step=1)
         before = path.read_bytes()
-
-        class FailingFile:
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 3:
-                    raise OSError("disk full")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(coper.model, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        monkeypatch.setattr(coper.model, "open", lambda *a: FailingFile(open(*a), 3), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(Transformer(replace(TINY, init_seed=2)), path, step=2)
         assert path.read_bytes() == before

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from coper import training
+from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule
 from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
 from coper.model import ModelConfig, Transformer, load_checkpoint
@@ -12,13 +15,20 @@ from coper.training import (
     batch_arrays,
     encode_record,
     encode_records,
-    multi_seed,
     teacher_forced_metrics,
     train,
 )
 
 TINY_MODEL = ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_len=64)
 POLICY = SplitPolicy(2, 4, 2, 5, hollow=frozenset({(3, 3)}))
+# A `coper run-experiment --config` file for the same grid, model and sizes.
+TINY_EXPERIMENT = {
+    "policy": POLICY.to_dict(),
+    "answer_cap": 12,
+    "counts": {"train": 24, "test_id": 8, "test_hollow": 8, "test_extrapolation": 8},
+    "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_mult": 2, "max_seq_len": 64},
+    "train": {"batch_size": 8, "learning_rate": 1e-3, "epochs": 2, "eval_every": 1},
+}
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +130,7 @@ class TestTraining:
         assert [pt.epoch for pt in runlog.points] == [2, 4]
         pt = runlog.final
         assert set(pt.split_loss) == {"test_id", "test_hollow", "test_extrapolation", "ood"}
-        assert pt.id_loss is not None and pt.ood_loss is not None
+        assert pt.id_loss is not None and pt.split_loss["ood"] is not None
 
     def test_checkpoint_reload_matches(self, tiny_data, tmp_path):
         model = Transformer(TINY_MODEL)
@@ -185,28 +195,47 @@ class TestRunLog:
 
 
 class TestMultiSeed:
-    def test_single_seed_mean_equals_run(self, tiny_data):
-        report = multi_seed(TINY_MODEL, tiny_data,
-                            TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=0), [9])
-        assert report.mean == report.per_seed[0]
+    """Multi-seed runs go through `coper run-experiment --seeds`."""
 
-    def test_identical_seeds_average_to_each(self, tiny_data):
-        report = multi_seed(TINY_MODEL, tiny_data,
-                            TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=0), [3, 3, 3])
-        for m in report.per_seed:
-            assert m == report.per_seed[0]
-        for k, v in report.mean.items():
-            assert v == pytest.approx(report.per_seed[0][k])
+    def run(self, tmp_path, seeds):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_EXPERIMENT))
+        out = tmp_path / "exp"
+        code = main(["run-experiment", "coper-default", "--seeds", seeds,
+                     "--out", str(out), "--config", str(config)])
+        return code, out
 
-    def test_three_seeds_three_checkpoints(self, tiny_data, tmp_path):
-        report = multi_seed(TINY_MODEL, tiny_data,
-                            TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=0),
-                            [1, 2, 3], out_dir=tmp_path)
-        blobs = [(tmp_path / f"seed_{s}" / "model.ckpt").read_bytes() for s in (1, 2, 3)]
-        assert len({b for b in blobs}) == 3
-        assert (tmp_path / "summary.json").exists()
-        assert len(report.per_seed) == 3
+    @staticmethod
+    def reports(out, seeds):
+        return [json.loads((out / f"seed_{s}" / "report.json").read_text())["report"] for s in seeds]
 
-    def test_no_seeds_rejected(self, tiny_data):
-        with pytest.raises(ValueError):
-            multi_seed(TINY_MODEL, tiny_data, TrainConfig(epochs=1), [])
+    def test_single_seed_mean_equals_run(self, tmp_path):
+        code, out = self.run(tmp_path, "9")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seeds"] == [9]
+        assert summary["mean"] == self.reports(out, [9])[0]
+
+    def test_identical_seeds_average_to_each(self, tmp_path):
+        code, out = self.run(tmp_path, "3,3,3")
+        assert code == 0
+        mean = json.loads((out / "summary.json").read_text())["mean"]
+        (report,) = self.reports(out, [3])
+        assert mean.keys() == report.keys()
+        for k, v in mean.items():
+            assert v == pytest.approx(report[k], rel=1e-12, abs=1e-15)
+
+    def test_three_seeds_three_checkpoints(self, tmp_path):
+        code, out = self.run(tmp_path, "1,2,3")
+        assert code == 0
+        blobs = [(out / f"seed_{s}" / "model.ckpt").read_bytes() for s in (1, 2, 3)]
+        assert len(set(blobs)) == 3
+        mean = json.loads((out / "summary.json").read_text())["mean"]
+        reports = self.reports(out, [1, 2, 3])
+        for k, v in mean.items():
+            assert v == pytest.approx(np.mean([r[k] for r in reports]), rel=1e-12, abs=1e-15)
+
+    def test_no_seeds_rejected(self, tmp_path):
+        code, out = self.run(tmp_path, ",")
+        assert code == 1
+        assert not out.exists()
