@@ -325,14 +325,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     return _wrap(out, (q, k, v), backward)
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+_RMS_EPS = 1e-6
+
+
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis with a learned gain."""
     xd = x.data
     if gain.data.shape != (xd.shape[-1],):
         raise ShapeError(f"gain shape {gain.data.shape} does not match feature dim {xd.shape[-1]}")
     n = xd.shape[-1]
     ms = np.einsum("...i,...i->...", xd, xd, dtype=np.float64)[..., None] / n  # 64-bit accumulation
-    inv = np.asarray(1.0 / np.sqrt(ms + eps), dtype=xd.dtype)
+    inv = np.asarray(1.0 / np.sqrt(ms + _RMS_EPS), dtype=xd.dtype)
     xhat = xd * inv
     data = xhat * gain.data
 

@@ -44,7 +44,7 @@ def _write_stamp(out_dir: Path, args: argparse.Namespace, extra: dict | None = N
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = {
         "version": __version__,
-        "command": " ".join(sys.argv[1:]) or args.command,
+        "command": " ".join(args.argv),
         "profile": getattr(args, "profile", None),
         "seed": getattr(args, "seed", None),
         "scale": getattr(args, "scale", None),
@@ -53,6 +53,10 @@ def _write_stamp(out_dir: Path, args: argparse.Namespace, extra: dict | None = N
     if extra:
         stamp.update(extra)
     _write_json(out_dir / "stamp.json", stamp)
+
+
+def _fmt(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -177,13 +181,11 @@ def _cmd_eval(args) -> int:
     result = evaluate(model, Path(args.data))
     emit_heatmap(result.combined_grid(), out / "heatmap.csv", out / "heatmap.svg")
     emit_category_bar([(args.name, result.report)], out / "categories.csv", out / "categories.svg")
-    _write_json(out / "report.json", {"report": result.report.to_dict(),
-                                      "split_accuracy": result.split_accuracy,
-                                      "split_tf_loss": result.split_tf_loss})
+    _write_json(out / "report.json", result.to_dict())
     _write_stamp(out, args)
     rep = result.report
-    print(f"id {rep.id_accuracy:.3f} hollow {rep.hollow_accuracy:.3f} "
-          f"extrapolation {rep.extrapolation_accuracy:.3f} avg {rep.average:.3f}")
+    print(f"id {_fmt(rep.id_accuracy)} hollow {_fmt(rep.hollow_accuracy)} "
+          f"extrapolation {_fmt(rep.extrapolation_accuracy)} avg {_fmt(rep.average)}")
     return 0
 
 
@@ -201,7 +203,7 @@ def _cmd_analyze(args) -> int:
     elif args.target == "rope-invariance":
         periods = {}
         for period in range(1, args.max_period + 1):
-            periods[str(period)] = check_relative_invariance(PhaseConfig(period), args.trials)
+            periods[str(period)] = check_relative_invariance(PhaseConfig(period), args.trials, args.seed)
         witness = {"max_deviation": max(periods.values()), "per_period": periods}
     elif args.target == "scaled-premise":
         rng = np.random.default_rng(args.seed)
@@ -266,7 +268,6 @@ def _cmd_run_experiment(args) -> int:
             f"generated dataset failed verification at {first.file}:{first.line_no}: {first.reason}")
 
     named_reports = []
-    mean_acc: dict[str, float] = {}
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"
         model = Transformer(replace(settings.model, init_seed=seed))
@@ -277,23 +278,27 @@ def _cmd_run_experiment(args) -> int:
         emit_heatmap(result.combined_grid(), seed_dir / "heatmap.csv", seed_dir / "heatmap.svg")
         name = f"{profile.name}-seed{seed}"
         named_reports.append((name, result.report))
-        _write_json(seed_dir / "report.json", {"report": result.report.to_dict(),
-                                               "split_accuracy": result.split_accuracy})
-        for key, val in result.report.to_dict().items():
-            mean_acc[key] = mean_acc.get(key, 0.0) + val / len(seeds)
+        _write_json(seed_dir / "report.json", result.to_dict())
 
+    # Per-key mean over the seeds; a category the dataset lacks stays None.
+    reports = [rep.to_dict() for _, rep in named_reports]
+    mean_acc = {}
+    for key in reports[0]:
+        vals = [r[key] for r in reports if r[key] is not None]
+        mean_acc[key] = sum(v / len(vals) for v in vals) if vals else None
     emit_category_bar(named_reports, out / "categories.csv", out / "categories.svg")
     _write_json(out / "summary.json",
                 {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc})
     _write_stamp(out, args, {"model": settings.model.to_dict(), "train": settings.train.to_dict()})
-    print(f"profile {profile.name}: mean id {mean_acc['id_accuracy']:.3f} "
-          f"hollow {mean_acc['hollow_accuracy']:.3f} "
-          f"extrapolation {mean_acc['extrapolation_accuracy']:.3f}")
+    print(f"profile {profile.name}: mean id {_fmt(mean_acc['id_accuracy'])} "
+          f"hollow {_fmt(mean_acc['hollow_accuracy'])} "
+          f"extrapolation {_fmt(mean_acc['extrapolation_accuracy'])}")
     return 0
 
 
-def _add_profile_flags(p: argparse.ArgumentParser, default_profile: str | None = "coper-default"):
-    p.add_argument("--profile", default=default_profile, help="experiment profile name")
+def _add_profile_flags(p: argparse.ArgumentParser, profile_flag: bool = True):
+    if profile_flag:
+        p.add_argument("--profile", default="coper-default", help="experiment profile name")
     p.add_argument("--config", help="JSON file overriding profile fields; flags beat the file")
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--desk", dest="scale", action="store_const", const="desk",
@@ -353,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_plot)
 
     p = sub.add_parser("run-experiment", help="gen + verify + train + eval, one command")
-    p.add_argument("profile_pos", metavar="profile", help="experiment profile name")
-    _add_profile_flags(p, default_profile=None)
+    p.add_argument("profile", help="experiment profile name")
+    _add_profile_flags(p, profile_flag=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", help="comma-separated seed list (overrides --seed)")
     p.add_argument("--out", required=True)
@@ -367,13 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _apply_thread_cap()
     from .autodiff import ShapeError  # after the thread cap, since it loads numpy
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "profile_pos", None):
-        args.profile = args.profile_pos
+    args.argv = argv  # what the stamp records
     try:
         return args.fn(args)
     except ValidationFailure as exc:

@@ -584,7 +584,11 @@ def _check_record(rec: SampleRecord, manifest: DatasetManifest) -> str | None:
     return f"unknown rule {rule!r}"  # pragma: no cover
 
 
-def verify_dataset(data_dir: Path, max_failures: int = 20) -> VerificationReport:
+# Verification stops at this many failures.
+_MAX_FAILURES = 20
+
+
+def verify_dataset(data_dir: Path) -> VerificationReport:
     """Re-derive every target, re-classify every pair, recheck every count."""
     data_dir = Path(data_dir)
     manifest = DatasetManifest.load(data_dir / "manifest.json")
@@ -614,7 +618,7 @@ def verify_dataset(data_dir: Path, max_failures: int = 20) -> VerificationReport
                 reason = _check_record(rec, manifest)
                 if reason is not None:
                     failures.append(VerificationFailure(name, line_no, reason))
-                if len(failures) >= max_failures:
+                if len(failures) >= _MAX_FAILURES:
                     return VerificationReport(False, checked, failures)
         if n_lines != manifest.counts.get(split, 0):
             failures.append(VerificationFailure(

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import BOS_ID, VOCAB_SIZE, encode
 from .dataset import Split, load_records
 from .model import ConfigError, Transformer
-from .training import LossRegion, encode_records, teacher_forced_metrics
+from .training import encode_records, split_metrics
 
 
 class InvalidTarget(ValueError):
@@ -53,17 +53,24 @@ class PairAccuracyGrid:
 
 @dataclass
 class CategoryReport:
-    """Table-shaped summary: ID/OOD losses plus per-category decoded accuracy."""
+    """Table-shaped summary: ID/OOD losses plus per-category decoded accuracy.
 
-    id_loss: float
-    ood_loss: float
-    id_accuracy: float
-    hollow_accuracy: float
-    extrapolation_accuracy: float
+    A value is None when the dataset lacks its splits (or, for a loss, when
+    no model was given).
+    """
+
+    id_loss: float | None
+    ood_loss: float | None
+    id_accuracy: float | None
+    hollow_accuracy: float | None
+    extrapolation_accuracy: float | None
 
     @property
-    def average(self) -> float:
-        return (self.id_accuracy + self.hollow_accuracy + self.extrapolation_accuracy) / 3.0
+    def average(self) -> float | None:
+        """Mean accuracy of the categories present."""
+        present = [a for a in (self.id_accuracy, self.hollow_accuracy, self.extrapolation_accuracy)
+                   if a is not None]
+        return sum(present) / len(present) if present else None
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +90,11 @@ class EvalResult:
     split_accuracy: dict        # Split.value -> decoded accuracy
     split_tf_loss: dict         # Split.value -> teacher-forced loss
 
+    def to_dict(self) -> dict:
+        """The report.json schema."""
+        return {"report": self.report.to_dict(), "split_accuracy": self.split_accuracy,
+                "split_tf_loss": self.split_tf_loss}
+
     def combined_grid(self) -> PairAccuracyGrid:
         merged = PairAccuracyGrid()
         for grid in self.grids.values():
@@ -96,7 +108,11 @@ def greedy_predictor(model: Transformer):
     return model.generate_greedy
 
 
-def decode_records(records, predictor, batch_size: int = 64):
+# Records per greedy-decode batch.
+DECODE_BATCH_SIZE = 64
+
+
+def decode_records(records, predictor):
     """Greedy-decode records in length-sorted batches of mixed lengths.
 
     The predictor gets each batch's prompts as a list of 1-D id arrays and
@@ -107,8 +123,8 @@ def decode_records(records, predictor, batch_size: int = 64):
     order = sorted(range(len(records)),
                    key=lambda j: (len(records[j].input_text), len(records[j].target_text)))
     out = [None] * len(records)
-    for i in range(0, len(order), batch_size):
-        chunk = order[i:i + batch_size]
+    for i in range(0, len(order), DECODE_BATCH_SIZE):
+        chunk = order[i:i + DECODE_BATCH_SIZE]
         prompts = [np.asarray((BOS_ID,) + encode(records[j].input_text), dtype=np.int64)
                    for j in chunk]
         preds = predictor(prompts, max(len(records[j].target_text) for j in chunk))
@@ -118,15 +134,15 @@ def decode_records(records, predictor, batch_size: int = 64):
 
 
 def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalResult:
-    """Decoded accuracy per (P1, P2) pair and per category, plus answer-only
-    teacher-forced losses.
+    """Decoded accuracy per (P1, P2) pair and per category, plus the
+    answer-only teacher-forced losses of `split_metrics`.
 
     A custom `predictor(prompts, n) -> ids` replaces the model's greedy
     decoding (used by the harness self-tests).  It receives a list of 1-D
     prompt arrays and the batch's longest answer length `n`, and returns at
     least `n` ids per row.  Losses require a model and are skipped when one
-    is not given.  Loading each split rejects a dataset whose manifest has a
-    foreign format or vocabulary.
+    is not given.  Loading each split rejects a dataset whose manifest has
+    a foreign format or vocabulary.
     """
     if model is not None:
         if model.config.vocab_size != VOCAB_SIZE:
@@ -138,40 +154,29 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
 
     grids: dict = {}
     split_accuracy: dict = {}
-    split_tf_loss: dict = {}
+    eval_sets: dict = {}
     for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
         records = load_records(data_dir, split)
         if not records:
             continue
         grid = PairAccuracyGrid()
-        correct_total = [0, 0]
         for rec, pred in decode_records(records, predictor):
             target = encode(rec.target_text)
-            hits = token_hits(pred, target)
-            grid.add((rec.p1, rec.p2), hits, len(target))
-            correct_total[0] += hits
-            correct_total[1] += len(target)
+            grid.add((rec.p1, rec.p2), token_hits(pred, target), len(target))
         grids[split] = grid
-        split_accuracy[split.value] = correct_total[0] / correct_total[1]
+        cells = grid.cells.values()
+        split_accuracy[split.value] = sum(c for c, _ in cells) / sum(t for _, t in cells)
         if model is not None:
-            loss_v, _ = teacher_forced_metrics(model, encode_records(records), LossRegion.ANSWER_ONLY)
-            split_tf_loss[split.value] = loss_v
+            eval_sets[split] = encode_records(records)
 
-    def acc(split):
-        return split_accuracy.get(split.value, 0.0)
-
-    ood_sizes = {s: sum(t for _, t in grids[s].cells.values())
-                 for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in grids}
-    ood_total = sum(ood_sizes.values())
-    ood_loss = 0.0
-    if ood_total and split_tf_loss:
-        ood_loss = sum(split_tf_loss.get(s.value, 0.0) * n for s, n in ood_sizes.items()) / ood_total
+    split_tf_loss, _ = split_metrics(model, eval_sets)
+    ood_loss = split_tf_loss.pop("ood", None)
     report = CategoryReport(
-        id_loss=split_tf_loss.get(Split.TEST_ID.value, 0.0),
+        id_loss=split_tf_loss.get(Split.TEST_ID.value),
         ood_loss=ood_loss,
-        id_accuracy=acc(Split.TEST_ID),
-        hollow_accuracy=acc(Split.TEST_HOLLOW),
-        extrapolation_accuracy=acc(Split.TEST_EXTRAPOLATION),
+        id_accuracy=split_accuracy.get(Split.TEST_ID.value),
+        hollow_accuracy=split_accuracy.get(Split.TEST_HOLLOW.value),
+        extrapolation_accuracy=split_accuracy.get(Split.TEST_EXTRAPOLATION.value),
     )
     return EvalResult(grids, report, split_accuracy, split_tf_loss)
 
@@ -209,7 +214,7 @@ def _legend(x: int, y: int, height: int) -> list:
     return body
 
 
-def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path, title: str = "accuracy") -> None:
+def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path) -> None:
     """Row-major CSV plus an SVG grid; never-sampled pairs stay blank."""
     rows = sorted(grid.cells)
     with open(csv_path, "w", newline="") as fh:
@@ -230,7 +235,7 @@ def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path, title: 
     left, top = 46, 34
     ncols = p1_hi - p1_lo + 1
     nrows = p2_hi - p2_lo + 1
-    body = [f'<text x="{left}" y="16">{title}</text>']
+    body = [f'<text x="{left}" y="16">accuracy</text>']
     for (p1, p2) in rows:
         acc = grid.accuracy((p1, p2))
         x = left + (p1 - p1_lo) * cell
@@ -251,17 +256,24 @@ def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path, title: 
     Path(svg_path).write_text(_svg(width, height, body))
 
 
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
 def emit_category_bar(named_reports: list, csv_path: Path, svg_path: Path) -> None:
-    """named_reports: [(name, CategoryReport), ...] -> CSV + grouped bars."""
+    """named_reports: [(name, CategoryReport), ...] -> CSV + grouped bars.
+
+    A category the dataset lacks is a blank cell and draws no bar.
+    """
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "split", "loss", "accuracy"])
         for name, rep in named_reports:
-            writer.writerow([name, "id", f"{rep.id_loss:.6f}", f"{rep.id_accuracy:.6f}"])
-            writer.writerow([name, "hollow", "", f"{rep.hollow_accuracy:.6f}"])
-            writer.writerow([name, "extrapolation", "", f"{rep.extrapolation_accuracy:.6f}"])
-            writer.writerow([name, "ood", f"{rep.ood_loss:.6f}", ""])
-            writer.writerow([name, "average", "", f"{rep.average:.6f}"])
+            writer.writerow([name, "id", _cell(rep.id_loss), _cell(rep.id_accuracy)])
+            writer.writerow([name, "hollow", "", _cell(rep.hollow_accuracy)])
+            writer.writerow([name, "extrapolation", "", _cell(rep.extrapolation_accuracy)])
+            writer.writerow([name, "ood", _cell(rep.ood_loss), ""])
+            writer.writerow([name, "average", "", _cell(rep.average)])
 
     bar_w, gap, group_gap, top, bottom, left = 34, 6, 30, 30, 46, 40
     chart_h = 160
@@ -271,9 +283,10 @@ def emit_category_bar(named_reports: list, csv_path: Path, svg_path: Path) -> No
     for name, rep in named_reports:
         for split, acc in (("id", rep.id_accuracy), ("hollow", rep.hollow_accuracy),
                            ("extrapolation", rep.extrapolation_accuracy)):
-            h = round(acc * chart_h)
-            body.append(f'<rect x="{x}" y="{top + chart_h - h}" width="{bar_w}" height="{h}" '
-                        f'fill="{colors[split]}"><title>{name} {split} {acc:.3f}</title></rect>')
+            if acc is not None:
+                h = round(acc * chart_h)
+                body.append(f'<rect x="{x}" y="{top + chart_h - h}" width="{bar_w}" height="{h}" '
+                            f'fill="{colors[split]}"><title>{name} {split} {acc:.3f}</title></rect>')
             body.append(f'<text x="{x}" y="{top + chart_h + 14}" font-size="9">{split[:3]}</text>')
             x += bar_w + gap
         body.append(f'<text x="{x - 3 * (bar_w + gap)}" y="{top + chart_h + 28}">{name}</text>')

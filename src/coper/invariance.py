@@ -79,12 +79,7 @@ class CounterexampleWitness:
         }
 
 
-def rule_periodicity_counterexample(
-    phase_period: int = 4,
-    rule_period: int = 3,
-    a: int = 0,
-    b: int = 1,
-) -> CounterexampleWitness:
+def rule_periodicity_counterexample(rule_period: int = 3) -> CounterexampleWitness:
     """Equal phase differences, unequal rule differences.
 
     With phase period 4 and the value rule t -> t mod 3, positions (0, 1)
@@ -93,6 +88,7 @@ def rule_periodicity_counterexample(
     rule.  Choosing rule_period equal to the phase period makes the
     differences agree and flips the verdict.
     """
+    phase_period, a, b = 4, 0, 1
     cfg = PhaseConfig(phase_period)
     shift = 2 * phase_period
     phase_near = cfg.phase(a) - cfg.phase(b)

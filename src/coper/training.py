@@ -172,11 +172,11 @@ class RunLog:
             log.append(by_epoch[epoch])
         return log
 
-    def save(self, out_dir: Path, stem: str = "runlog") -> None:
+    def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_atomic(out_dir / f"{stem}.csv", self.to_csv_text())
-        write_atomic(out_dir / f"{stem}.json", json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_atomic(out_dir / "runlog.csv", self.to_csv_text())
+        write_atomic(out_dir / "runlog.json", json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 class AdamW:
@@ -208,8 +208,11 @@ class AdamW:
             p.grad = None
 
 
-def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion,
-                           batch_size: int = 128) -> tuple[float, float]:
+# Test records per forward pass of teacher-forced scoring.
+TF_BATCH_SIZE = 128
+
+
+def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion) -> tuple[float, float]:
     """Mean next-token loss and accuracy over the masked region (no decoding).
 
     Samples are batched in length order, so each batch pads only to the
@@ -219,8 +222,8 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion,
     total_loss = 0.0
     total_correct = 0
     total = 0
-    for i in range(0, len(samples), batch_size):
-        inputs, labels, mask = batch_arrays(samples[i:i + batch_size], loss_region)
+    for i in range(0, len(samples), TF_BATCH_SIZE):
+        inputs, labels, mask = batch_arrays(samples[i:i + TF_BATCH_SIZE], loss_region)
         logits = model.forward(inputs).data
         total_loss += float((ad._token_nll(logits, labels)[0] * mask).sum())
         pred = logits.argmax(axis=-1)
@@ -229,8 +232,22 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion,
     return total_loss / total, total_correct / total
 
 
-# Records per test split scored at each eval point.
-_EVAL_MAX_SAMPLES = 512
+def split_metrics(model: Transformer, eval_sets: dict) -> tuple[dict, dict]:
+    """Answer-only teacher-forced (loss, accuracy) per test split, keyed by split value.
+
+    `eval_sets` maps each present test Split to its encoded samples; the
+    losses also carry "ood", the OOD splits' losses weighted by answer tokens.
+    """
+    split_loss, split_acc = {}, {}
+    for split, samples in eval_sets.items():
+        split_loss[split.value], split_acc[split.value] = teacher_forced_metrics(
+            model, samples, LossRegion.ANSWER_ONLY)
+    ood_tokens = {s: sum(len(x.tokens) - x.answer_start for x in eval_sets[s])
+                  for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in eval_sets}
+    ood_total = sum(ood_tokens.values())
+    if ood_total:
+        split_loss["ood"] = sum(split_loss[s.value] * n for s, n in ood_tokens.items()) / ood_total
+    return split_loss, split_acc
 
 
 def _snapshot(model: Transformer) -> dict:
@@ -246,10 +263,10 @@ def train(
 ) -> tuple[Transformer, RunLog]:
     """Run the full protocol; returns the trained model and its RunLog.
 
-    Deterministic given config.seed.  Losses use cross-entropy masked to the
-    configured region; every eval_every epochs the first _EVAL_MAX_SAMPLES
-    records of each test split are scored teacher-forced (decoded accuracy
-    is the evaluator's job).
+    Deterministic given config.seed.  The training loss is cross-entropy
+    masked to the configured region; every eval_every epochs every test
+    record is scored by `split_metrics` (decoded accuracy is the evaluator's
+    job).
     """
     train_records = load_records(data_dir, Split.TRAIN)
     if not train_records:
@@ -259,7 +276,7 @@ def train(
     for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
         records = load_records(data_dir, split)
         if records:
-            eval_sets[split] = encode_records(records[:_EVAL_MAX_SAMPLES])
+            eval_sets[split] = encode_records(records)
 
     embedding_before = model.embedding.data.copy()
     opt = AdamW(model.parameters(), config)
@@ -285,17 +302,7 @@ def train(
             steps += 1
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            split_loss, split_acc = {}, {}
-            ood_loss_sum, ood_n = 0.0, 0
-            for split, samples in eval_sets.items():
-                loss_v, acc_v = teacher_forced_metrics(model, samples, config.loss_region)
-                split_loss[split.value] = loss_v
-                split_acc[split.value] = acc_v
-                if split is not Split.TEST_ID:
-                    ood_loss_sum += loss_v * len(samples)
-                    ood_n += len(samples)
-            if ood_n:
-                split_loss["ood"] = ood_loss_sum / ood_n
+            split_loss, split_acc = split_metrics(model, eval_sets)
             point = EvalPoint(epoch, epoch_loss / max(n_batches, 1), split_loss, split_acc)
             runlog.append(point)
             last_good = _snapshot(model)

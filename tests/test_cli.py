@@ -91,6 +91,13 @@ class TestGenVerify:
         assert code == 1
         assert "vocabulary" in err
 
+    def test_stamp_records_the_arguments_main_parsed(self, tmp_path, capsys, micro_config):
+        argv = ["gen", "--profile", "coper-default", "--seed", "7", "--out", str(tmp_path / "d"),
+                "--config", micro_config]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads((tmp_path / "d" / "stamp.json").read_text())["command"] == " ".join(argv)
+
     def test_unknown_profile_exits_one(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--profile", "bogus", "--out", str(tmp_path / "x"))
         assert code == 1
@@ -113,6 +120,11 @@ class TestAnalyze:
         assert code == 0
         assert payload["max_deviation"] < 1e-9
         assert len(payload["per_period"]) == 8
+
+    def test_invariance_trials_follow_seed(self, capsys):
+        outputs = [run(capsys, "analyze", "rope-invariance", "--trials", "5", "--max-period", "4",
+                       "--seed", seed)[1] for seed in ("0", "0", "1")]
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_scaled_premise_json(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "scaled-premise", "--trials", "5")
@@ -139,6 +151,41 @@ class TestEndToEnd:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["profile"] == "coper-default"
         assert "id_accuracy" in summary["mean"]
+
+    def test_runlog_and_report_losses_agree(self, tmp_path, capsys, micro_config):
+        out = tmp_path / "exp"
+        code, _, err = run(capsys, "run-experiment", "coper-default", "--seed", "2",
+                           "--out", str(out), "--config", micro_config)
+        assert code == 0, err
+        final = json.loads((out / "seed_2" / "runlog.json").read_text())["points"][-1]["split_loss"]
+        report = json.loads((out / "seed_2" / "report.json").read_text())
+        assert {k: v for k, v in final.items() if k.startswith("test_")} == report["split_tf_loss"]
+        assert final["test_id"] == report["report"]["id_loss"]
+        assert final["ood"] == report["report"]["ood_loss"]
+
+    def test_missing_category_is_null_not_zero(self, tmp_path, capsys):
+        config = dict(MICRO_CONFIG, counts={"train": 40, "test_id": 12, "test_extrapolation": 12})
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out = tmp_path / "exp"
+        code, stdout, err = run(capsys, "run-experiment", "coper-default", "--seed", "1",
+                                "--out", str(out), "--config", str(tmp_path / "c.json"))
+        assert code == 0, err
+        assert "hollow n/a" in stdout
+        rep = json.loads((out / "seed_1" / "report.json").read_text())["report"]
+        assert rep["hollow_accuracy"] is None
+        assert rep["average"] == (rep["id_accuracy"] + rep["extrapolation_accuracy"]) / 2
+        mean = json.loads((out / "summary.json").read_text())["mean"]
+        assert mean["hollow_accuracy"] is None and mean["average"] == rep["average"]
+        assert "coper-default-seed1,hollow,,\n" in (out / "categories.csv").read_text()
+        svg = (out / "categories.svg").read_text()
+        assert " hollow " not in svg and svg.count("<rect") == 2
+
+    def test_run_experiment_rejects_a_profile_flag(self, tmp_path, capsys, micro_config):
+        out = tmp_path / "exp"
+        code, _, _ = run(capsys, "run-experiment", "single-period", "--profile", "coper-default",
+                         "--out", str(out), "--config", micro_config)
+        assert code == 1
+        assert not out.exists()
 
     def test_run_experiment_is_byte_deterministic(self, tmp_path, capsys, micro_config):
         trees = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coper import evaluation
 from coper.codec import BOS_ID, encode
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
 from coper.dataset import Split, SplitPolicy, build_dataset, load_records
@@ -65,6 +66,11 @@ class TestGrid:
         rep = CategoryReport(0.1, 2.0, 0.9, 0.3, 0.3)
         assert rep.average == pytest.approx(0.5)
 
+    def test_missing_category_is_left_out_of_the_average(self):
+        rep = CategoryReport(0.1, 2.0, 0.9, None, 0.3)
+        assert rep.average == pytest.approx(0.6)
+        assert rep.to_dict()["hollow_accuracy"] is None
+
 
 class TestEvaluate:
     def test_echo_predictor_scores_one_everywhere(self, data):
@@ -86,11 +92,12 @@ class TestEvaluate:
         assert result.report.hollow_accuracy == 1.0
         assert result.report.extrapolation_accuracy == 1.0
         assert result.report.average == 1.0
+        assert result.report.id_loss is None and result.report.ood_loss is None  # no model
         for grid in result.grids.values():
             for pair in grid.cells:
                 assert grid.accuracy(pair) == 1.0
 
-    def test_decode_records_batches_mixed_lengths_in_record_order(self, data):
+    def test_decode_records_batches_mixed_lengths_in_record_order(self, data, monkeypatch):
         records = [r for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION)
                    for r in load_records(data, split)]
         answer_len = {(BOS_ID,) + encode(r.input_text): len(r.target_text) for r in records}
@@ -100,7 +107,8 @@ class TestEvaluate:
             calls.append(([tuple(int(v) for v in p) for p in prompts], n))
             return np.stack([np.resize(p, n) for p in prompts])
 
-        pairs = decode_records(records, repeat_prompt, batch_size=16)
+        monkeypatch.setattr(evaluation, "DECODE_BATCH_SIZE", 16)
+        pairs = decode_records(records, repeat_prompt)
         assert [rec for rec, _ in pairs] == records
         for rec, pred in pairs:
             prompt = (BOS_ID,) + encode(rec.input_text)

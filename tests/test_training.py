@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coper import autodiff as ad
 from coper import training
 from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule
 from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
 from coper.model import ModelConfig, Transformer, load_checkpoint
 from coper.training import (
+    DivergenceError,
     LossRegion,
     RunLog,
     TrainConfig,
@@ -132,6 +135,30 @@ class TestTraining:
         assert set(pt.split_loss) == {"test_id", "test_hollow", "test_extrapolation", "ood"}
         assert pt.id_loss is not None and pt.split_loss["ood"] is not None
 
+    def test_non_finite_loss_raises_with_last_eval_point_state(self, tiny_data, monkeypatch):
+        config = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=3, eval_every=1, seed=6)
+        after_epoch_1 = Transformer(TINY_MODEL)
+        train(after_epoch_1, tiny_data, replace(config, epochs=1))
+        batches_per_epoch = -(-len(load_records(tiny_data, Split.TRAIN)) // config.batch_size)
+        exact = ad.cross_entropy
+        calls = []
+
+        def nan_from_epoch_2(logits, labels, mask):
+            calls.append(1)
+            loss = exact(logits, labels, mask)
+            if len(calls) > batches_per_epoch:
+                loss.data = np.full_like(loss.data, np.nan)
+            return loss
+
+        monkeypatch.setattr(ad, "cross_entropy", nan_from_epoch_2)
+        with pytest.raises(DivergenceError) as info:
+            train(Transformer(TINY_MODEL), tiny_data, config)
+        assert info.value.epoch == 2
+        expected = after_epoch_1.state_tensors()
+        assert info.value.state.keys() == expected.keys()
+        for name, t in expected.items():
+            assert np.array_equal(info.value.state[name], t.data), name
+
     def test_checkpoint_reload_matches(self, tiny_data, tmp_path):
         model = Transformer(TINY_MODEL)
         train(model, tiny_data,
@@ -160,8 +187,8 @@ class TestTeacherForcedMetrics:
         samples = encode_records(load_records(tiny_data, Split.TEST_EXTRAPOLATION))
         assert len({len(s.tokens) for s in samples}) > 2
         model = Transformer(TINY_MODEL)
-        one_batch = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY,
-                                           batch_size=len(samples))
+        monkeypatch.setattr(training, "TF_BATCH_SIZE", len(samples))
+        one_batch = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
         batches = []
 
         def recording(batch, region):
@@ -169,7 +196,8 @@ class TestTeacherForcedMetrics:
             return batch_arrays(batch, region)
 
         monkeypatch.setattr(training, "batch_arrays", recording)
-        loss, acc = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY, batch_size=3)
+        monkeypatch.setattr(training, "TF_BATCH_SIZE", 3)
+        loss, acc = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
         lengths = [n for batch in batches for n in batch]
         assert lengths == sorted(len(s.tokens) for s in samples)
         assert acc == one_batch[1]
