@@ -3,8 +3,11 @@
 Greedy-decodes every test sample, scores token-wise accuracy into a
 per-(P1, P2) grid, summarizes the three categories, and renders the
 results as CSV plus self-contained SVG (heatmap, category bars, loss
-curves).  Output bytes are deterministic: fixed float formatting, no
-timestamps, no external assets.
+curves).  With a model, each length-sorted test batch takes one forward
+over its teacher-forced tokens: that forward gives the answer-only loss
+and fills the key/value cache that greedy decoding continues from
+(`Transformer.decode`).  Output bytes are deterministic: fixed float
+formatting, no timestamps, no external assets.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import BOS_ID, VOCAB_SIZE, encode
+from .codec import VOCAB_SIZE, encode
 from .dataset import Split, load_records
 from .model import ConfigError, Transformer
-from .training import encode_records, split_metrics
+from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
+                       ood_weighted, teacher_forced_metrics)
 
 
 class InvalidTarget(ValueError):
@@ -104,72 +108,91 @@ class EvalResult:
 
 
 def greedy_predictor(model: Transformer):
-    """Default predictor: greedy continuation of the model."""
+    """A `decode_records` predictor: the model's greedy continuation."""
     return model.generate_greedy
 
 
-# Records per greedy-decode batch.
-DECODE_BATCH_SIZE = 64
-
-
 def decode_records(records, predictor):
-    """Greedy-decode records in length-sorted batches of mixed lengths.
+    """Greedy-decode records through `predictor` in the scorer's `length_batches`.
 
     The predictor gets each batch's prompts as a list of 1-D id arrays and
     the batch's longest answer length; each row is then cut to its own
     answer length.  Returns (record, predicted ids) in the original record
     order.
     """
-    order = sorted(range(len(records)),
-                   key=lambda j: (len(records[j].input_text), len(records[j].target_text)))
+    samples = encode_records(records)
     out = [None] * len(records)
-    for i in range(0, len(order), DECODE_BATCH_SIZE):
-        chunk = order[i:i + DECODE_BATCH_SIZE]
-        prompts = [np.asarray((BOS_ID,) + encode(records[j].input_text), dtype=np.int64)
-                   for j in chunk]
-        preds = predictor(prompts, max(len(records[j].target_text) for j in chunk))
-        for row, j in enumerate(chunk):
+    for batch in length_batches(samples):
+        prompts = [samples[j].tokens[:samples[j].answer_start].astype(np.int64) for j in batch]
+        preds = predictor(prompts, max(len(records[j].target_text) for j in batch))
+        for row, j in enumerate(batch):
             out[j] = tuple(int(v) for v in preds[row][:len(records[j].target_text)])
     return list(zip(records, out))
 
 
+def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, float]]:
+    """Greedy answers of `samples` in order, and their answer-only (loss, accuracy).
+
+    One `Transformer.decode` per length-sorted batch: its forward over the
+    teacher-forced tokens is scored exactly as `teacher_forced_metrics`
+    scores it, and decoding continues from that forward's cache.
+    """
+    score = TokenScore()
+    answers = [None] * len(samples)
+    for batch in length_batches(samples):
+        rows = [samples[j] for j in batch]
+        inputs, labels, mask = batch_arrays(rows, LossRegion.ANSWER_ONLY)
+        starts = np.array([s.answer_start for s in rows])
+        lengths = np.array([len(s.tokens) for s in rows]) - starts
+        logits, decoded = model.decode(inputs, starts, lengths)
+        score.add(logits, labels, mask)
+        for row, j in enumerate(batch):
+            answers[j] = decoded[row, :lengths[row]].tolist()
+    return answers, score.result()
+
+
 def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalResult:
     """Decoded accuracy per (P1, P2) pair and per category, plus the
-    answer-only teacher-forced losses of `split_metrics`.
+    answer-only teacher-forced losses that `training.split_metrics` reports.
 
-    A custom `predictor(prompts, n) -> ids` replaces the model's greedy
-    decoding (used by the harness self-tests).  It receives a list of 1-D
-    prompt arrays and the batch's longest answer length `n`, and returns at
-    least `n` ids per row.  Losses require a model and are skipped when one
-    is not given.  Loading each split rejects a dataset whose manifest has
-    a foreign format or vocabulary.
+    With a model alone, each test batch is scored and decoded from one
+    forward (`_decode_and_score`).  A custom `predictor(prompts, n) -> ids`
+    replaces the model's greedy decoding (used by the harness self-tests);
+    it receives a list of 1-D prompt arrays and the batch's longest answer
+    length `n`, and returns at least `n` ids per row.  Losses require a
+    model and are skipped when one is not given.  Loading each split
+    rejects a dataset whose manifest has a foreign format or vocabulary.
     """
     if model is not None:
         if model.config.vocab_size != VOCAB_SIZE:
             raise ConfigError(f"model vocab {model.config.vocab_size} != codec vocab {VOCAB_SIZE}")
-        if predictor is None:
-            predictor = greedy_predictor(model)
     elif predictor is None:
         raise ConfigError("evaluate needs a model or an explicit predictor")
 
     grids: dict = {}
     split_accuracy: dict = {}
     eval_sets: dict = {}
+    scores: dict = {}
     for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
         records = load_records(data_dir, split)
         if not records:
             continue
+        eval_sets[split] = samples = encode_records(records)
+        if predictor is None:
+            preds, scores[split] = _decode_and_score(model, samples)
+        else:
+            preds = [pred for _, pred in decode_records(records, predictor)]
+            if model is not None:
+                scores[split] = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
         grid = PairAccuracyGrid()
-        for rec, pred in decode_records(records, predictor):
+        for rec, pred in zip(records, preds):
             target = encode(rec.target_text)
             grid.add((rec.p1, rec.p2), token_hits(pred, target), len(target))
         grids[split] = grid
         cells = grid.cells.values()
         split_accuracy[split.value] = sum(c for c, _ in cells) / sum(t for _, t in cells)
-        if model is not None:
-            eval_sets[split] = encode_records(records)
 
-    split_tf_loss, _ = split_metrics(model, eval_sets)
+    split_tf_loss, _ = ood_weighted(scores, eval_sets)
     ood_loss = split_tf_loss.pop("ood", None)
     report = CategoryReport(
         id_loss=split_tf_loss.get(Split.TEST_ID.value),

@@ -9,10 +9,13 @@ not at all (NONE).
 
 `forward` and greedy decoding run the same layer code, which takes absolute
 positions, shared by the batch or given per row, and an optional key/value
-cache.  Decoding fills the cache with one right-padded forward over prompts
-of mixed lengths, then feeds one token per row per step at that row's own
-position and attends over its cached slots, so every row sees exactly the
-positions it would see decoded alone.
+cache.  `decode` is the one greedy decoder.  It runs one causal forward over
+right-padded rows whose prompts end at per-row start positions; that
+forward's logits serve any teacher-forced scoring of the rows, and its own
+per-layer keys and values become the cache.  It then feeds one token per
+row per step at that row's own position and attends over the row's slots up
+to it, so every row sees exactly the positions it would see decoded alone.
+`generate_greedy` right-pads prompts and calls it.
 """
 
 from __future__ import annotations
@@ -181,23 +184,29 @@ class Transformer:
 
     def forward(self, tokens: np.ndarray) -> ad.Tensor:
         """Logits of shape (batch, length, vocab) under causal masking."""
+        tokens = self._checked(tokens)
+        s = tokens.shape[1]
+        return self._run(tokens, slice(0, s), self._causal_mask(s))
+
+    def _checked(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise LengthError(f"tokens must be (batch, length), got {tokens.shape}")
-        s = tokens.shape[1]
-        if s > self.config.max_seq_len:
-            raise LengthError(f"length {s} exceeds max_seq_len {self.config.max_seq_len}")
-        return self._run(tokens, slice(0, s), self._causal_mask(s))
+        if tokens.shape[1] > self.config.max_seq_len:
+            raise LengthError(f"length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
+        return tokens
 
     def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None) -> ad.Tensor:
         """The layer stack over `tokens` (B, S) at absolute `positions`.
 
         `positions` is a slice shared by every row, or a (B, S) array of
         per-row positions.  Without a cache, queries attend to the keys of
-        `tokens` themselves.  With one, a list of per-layer (keys, values)
-        arrays of shape (B * H, slots, d_head), each layer first writes its
-        rotated keys and values at `positions`, and the queries then attend
-        over cache slots [0, mask.shape[-1]).
+        `tokens` themselves.  `cache` is a list of per-layer (keys, values)
+        arrays of shape (B * H, slots, d_head).  Given empty, it receives
+        each layer's own rotated keys and values, so a full forward fills it
+        without a copy.  Given full, each layer first writes its rotated
+        keys and values at `positions`, and the queries then attend over
+        cache slots [0, mask.shape[-1]).
         """
         cfg = self.config
         h = cfg.n_heads
@@ -222,7 +231,9 @@ class Transformer:
             if cfg.pe_kind is PeKind.ROPE:
                 q = ad.rope_rotate(q, cos, sin)
                 k = ad.rope_rotate(k, cos, sin)
-            if cache is not None:
+            if cache is not None and len(cache) == layer:
+                cache.append((k.data, v.data))
+            elif cache is not None:
                 keys, values = cache[layer]
                 keys[slots], values[slots] = k.data, v.data
                 width = mask.shape[-1]
@@ -235,47 +246,73 @@ class Transformer:
         x = ad.rmsnorm(x, self.params["final_norm"])
         return ad.matmul(x, self.params["head"])
 
+    def decode(self, tokens, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+        """One forward's logits and each row's greedy answer: (logits, answers).
+
+        `tokens` (B, S) holds right-padded rows.  Row i's prompt is
+        tokens[i, :starts[i]], and its answer is `lengths[i]` >= 1 tokens
+        long; prompt plus answer must fit max_seq_len, and S must hold every
+        row's starts[i] + lengths[i] - 1 slots.  One causal forward over all
+        of `tokens` gives the (B, S, vocab) logits, and its keys and values
+        become the cache.  Each row's first answer token is the argmax at
+        starts[i] - 1.  Every later step feeds each row's newest token at
+        its next absolute position, overwriting that slot, and attends over
+        the row's slots up to it, so whatever `tokens` holds after a prompt
+        is never seen.  A step runs only the span of rows from the first to
+        the last whose answer is unfinished; a finished row inside it stays
+        on its last slot.  `answers` is (B, max(lengths)), zero past each
+        row's length; ties resolve to the smallest id.
+        """
+        tokens = self._checked(tokens)
+        starts, lengths = np.asarray(starts), np.asarray(lengths)
+        b, s = tokens.shape
+        if starts.min() < 1 or lengths.min() < 1:
+            raise LengthError("every row needs a non-empty prompt and answer")
+        cfg = self.config
+        too_long = np.flatnonzero(starts + lengths > cfg.max_seq_len)
+        if too_long.size:
+            i = too_long[0]
+            raise LengthError(f"prompt {starts[i]} + {lengths[i]} new tokens exceeds "
+                              f"max_seq_len {cfg.max_seq_len}")
+        last = starts + lengths - 2  # slot of each row's last fed token
+        if last.max() >= s:
+            raise LengthError(f"tokens of length {s} cannot hold slot {last.max()}")
+        cache = []
+        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache).data
+        answers = np.zeros((b, int(lengths.max())), dtype=np.int64)
+        answers[:, 0] = logits[np.arange(b), starts - 1].argmax(axis=-1)
+        dtype = self.embedding.data.dtype
+        h = cfg.n_heads
+        slot = np.arange(s)
+        for step in range(1, answers.shape[1]):
+            live = np.flatnonzero(lengths > step)
+            lo, hi = live[0], live[-1] + 1  # the span of rows still decoding
+            pos = np.minimum(starts[lo:hi] + (step - 1), last[lo:hi])  # where each row's newest token sits
+            head_pos = np.repeat(pos, h)
+            width = int(pos.max()) + 1
+            mask = np.where(slot[None, None, :width] > head_pos[:, None, None], -np.inf, 0.0).astype(dtype)
+            span = [(keys[lo * h:hi * h], values[lo * h:hi * h]) for keys, values in cache]
+            step_logits = self._run(answers[lo:hi, step - 1:step], pos[:, None], mask, span).data
+            answers[lo:hi, step] = np.where(lengths[lo:hi] > step, step_logits[:, 0].argmax(axis=-1), 0)
+        return logits, answers
+
     def generate_greedy(self, prompts, n: int) -> np.ndarray:
         """Argmax continuations of `n` tokens, shape (len(prompts), n).
 
         `prompts` is a list of 1-D id arrays of any lengths, or a 2-D array
-        of equal-length rows.  One right-padded forward over all prompts
-        fills a key/value cache and gives each row's first token from its
-        own last prompt position; every later step feeds only the newest
-        token of each row, at that row's next absolute position, and
-        attends over the row's cached slots up to it.  Ties resolve to the
-        smallest id.
+        of equal-length rows.  They are right-padded to the longest prompt
+        plus n - 1 and continued by `decode`.
         """
         rows = [np.asarray(p) for p in prompts]
         if any(r.ndim != 1 or r.size == 0 for r in rows):
             raise LengthError("every prompt must be a non-empty 1-D id sequence")
-        lengths = np.array([r.size for r in rows])
-        longest = int(lengths.max())
-        if longest + n > self.config.max_seq_len:
-            raise LengthError(
-                f"prompt {longest} + {n} new tokens exceeds max_seq_len {self.config.max_seq_len}")
-        b = len(rows)
-        out = np.zeros((b, n), dtype=np.int64)
         if n == 0:
-            return out
-        cfg = self.config
-        tokens = np.full((b, longest), PAD_ID, dtype=np.int64)
+            return np.zeros((len(rows), 0), dtype=np.int64)
+        starts = np.array([r.size for r in rows])
+        tokens = np.full((len(rows), int(starts.max()) + n - 1), PAD_ID, dtype=np.int64)
         for i, r in enumerate(rows):
             tokens[i, :r.size] = r
-        dtype = self.embedding.data.dtype
-        shape = (b * cfg.n_heads, longest + n, cfg.d_head)
-        cache = [(np.zeros(shape, dtype), np.zeros(shape, dtype)) for _ in range(cfg.n_layers)]
-        logits = self._run(tokens, slice(0, longest), self._causal_mask(longest), cache).data
-        out[:, 0] = logits[np.arange(b), lengths - 1].argmax(axis=-1)
-        slot = np.arange(longest + n)
-        for step in range(1, n):
-            pos = lengths + (step - 1)  # where each row's newest token sits
-            head_pos = np.repeat(pos, cfg.n_heads)
-            width = int(pos.max()) + 1
-            mask = np.where(slot[None, None, :width] > head_pos[:, None, None], -np.inf, 0.0).astype(dtype)
-            logits = self._run(out[:, step - 1:step], pos[:, None], mask, cache).data
-            out[:, step] = logits[:, 0].argmax(axis=-1)
-        return out
+        return self.decode(tokens, starts, np.full(len(rows), n))[1]
 
     def state_tensors(self) -> dict[str, ad.Tensor]:
         """Everything a checkpoint stores, frozen embedding included."""

@@ -24,10 +24,10 @@ from .model import Transformer, save_checkpoint, write_atomic
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss; carries the last good parameters."""
+    """Training hit a non-finite loss or gradient; carries the last good parameters."""
 
-    def __init__(self, epoch: int, state: dict):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, epoch: int, state: dict, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
         self.state = state
 
@@ -208,46 +208,72 @@ class AdamW:
             p.grad = None
 
 
-# Test records per forward pass of teacher-forced scoring.
+# Test records per forward pass of teacher-forced scoring and decoding.
 TF_BATCH_SIZE = 128
+
+
+def length_batches(samples) -> list:
+    """Indices of `samples` in length-sorted batches of TF_BATCH_SIZE.
+
+    The one batching rule of test-split scoring and decoding: each batch
+    pads only to the longest of similar lengths.
+    """
+    order = sorted(range(len(samples)), key=lambda i: len(samples[i].tokens))
+    return [order[i:i + TF_BATCH_SIZE] for i in range(0, len(order), TF_BATCH_SIZE)]
+
+
+@dataclass
+class TokenScore:
+    """Running next-token loss and argmax accuracy over the masked region of batches."""
+
+    loss: float = 0.0
+    correct: int = 0
+    count: int = 0
+
+    def add(self, logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> None:
+        self.loss += float((ad._token_nll(logits, labels)[0] * mask).sum())
+        self.correct += int(((logits.argmax(axis=-1) == labels) * mask).sum())
+        self.count += int(mask.sum())
+
+    def result(self) -> tuple[float, float]:
+        return self.loss / self.count, self.correct / self.count
 
 
 def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion) -> tuple[float, float]:
     """Mean next-token loss and accuracy over the masked region (no decoding).
 
-    Samples are batched in length order, so each batch pads only to the
-    longest of similar lengths; the totals do not depend on the batching.
+    Samples are scored in `length_batches`; the totals do not depend on the
+    batching.
     """
-    samples = sorted(samples, key=lambda s: len(s.tokens))
-    total_loss = 0.0
-    total_correct = 0
-    total = 0
-    for i in range(0, len(samples), TF_BATCH_SIZE):
-        inputs, labels, mask = batch_arrays(samples[i:i + TF_BATCH_SIZE], loss_region)
-        logits = model.forward(inputs).data
-        total_loss += float((ad._token_nll(logits, labels)[0] * mask).sum())
-        pred = logits.argmax(axis=-1)
-        total_correct += int(((pred == labels) * mask).sum())
-        total += int(mask.sum())
-    return total_loss / total, total_correct / total
+    score = TokenScore()
+    for batch in length_batches(samples):
+        inputs, labels, mask = batch_arrays([samples[i] for i in batch], loss_region)
+        score.add(model.forward(inputs).data, labels, mask)
+    return score.result()
 
 
-def split_metrics(model: Transformer, eval_sets: dict) -> tuple[dict, dict]:
-    """Answer-only teacher-forced (loss, accuracy) per test split, keyed by split value.
+def ood_weighted(scores: dict, eval_sets: dict) -> tuple[dict, dict]:
+    """Per-split (loss, accuracy) as (losses, accuracies) keyed by split value.
 
-    `eval_sets` maps each present test Split to its encoded samples; the
-    losses also carry "ood", the OOD splits' losses weighted by answer tokens.
+    `scores` maps each scored test Split to its (loss, accuracy), and
+    `eval_sets` each Split to its encoded samples; the losses also carry
+    "ood", the OOD splits' losses weighted by answer tokens.
     """
-    split_loss, split_acc = {}, {}
-    for split, samples in eval_sets.items():
-        split_loss[split.value], split_acc[split.value] = teacher_forced_metrics(
-            model, samples, LossRegion.ANSWER_ONLY)
+    split_loss = {split.value: loss for split, (loss, _) in scores.items()}
+    split_acc = {split.value: acc for split, (_, acc) in scores.items()}
     ood_tokens = {s: sum(len(x.tokens) - x.answer_start for x in eval_sets[s])
-                  for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in eval_sets}
+                  for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in scores}
     ood_total = sum(ood_tokens.values())
     if ood_total:
         split_loss["ood"] = sum(split_loss[s.value] * n for s, n in ood_tokens.items()) / ood_total
     return split_loss, split_acc
+
+
+def split_metrics(model: Transformer, eval_sets: dict) -> tuple[dict, dict]:
+    """Answer-only teacher-forced (losses, accuracies) of every test split in
+    `eval_sets`, with "ood" (see `ood_weighted`)."""
+    return ood_weighted({split: teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
+                         for split, samples in eval_sets.items()}, eval_sets)
 
 
 def _snapshot(model: Transformer) -> dict:
@@ -279,6 +305,7 @@ def train(
             eval_sets[split] = encode_records(records)
 
     embedding_before = model.embedding.data.copy()
+    params = list(model.parameters().values())
     opt = AdamW(model.parameters(), config)
     runlog = RunLog()
     last_good = _snapshot(model)
@@ -294,8 +321,12 @@ def train(
                 loss = ad.cross_entropy(model.forward(inputs), labels, mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
-                raise DivergenceError(epoch, last_good)
+                raise DivergenceError(epoch, last_good, "loss")
             tape.backward(loss)
+            # min and max carry any NaN or inf without allocating a mask per parameter.
+            if not all(np.isfinite(p.grad.min()) and np.isfinite(p.grad.max())
+                       for p in params if p.grad is not None):
+                raise DivergenceError(epoch, last_good, "gradient")
             opt.step()
             epoch_loss += loss_val
             n_batches += 1

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from coper import evaluation
+from coper import evaluation, training
 from coper.codec import BOS_ID, encode
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
-from coper.dataset import Split, SplitPolicy, build_dataset, load_records
+from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
 from coper.evaluation import (
     CategoryReport,
     EvalResult,
@@ -19,7 +19,7 @@ from coper.evaluation import (
     evaluate,
     token_hits,
 )
-from coper.model import ConfigError, ModelConfig, Transformer
+from coper.model import ConfigError, LengthError, ModelConfig, PeKind, Transformer
 from coper.training import EvalPoint, RunLog
 
 POLICY = SplitPolicy(2, 4, 2, 5, hollow=frozenset({(3, 3)}))
@@ -107,7 +107,7 @@ class TestEvaluate:
             calls.append(([tuple(int(v) for v in p) for p in prompts], n))
             return np.stack([np.resize(p, n) for p in prompts])
 
-        monkeypatch.setattr(evaluation, "DECODE_BATCH_SIZE", 16)
+        monkeypatch.setattr(training, "TF_BATCH_SIZE", 16)
         pairs = decode_records(records, repeat_prompt)
         assert [rec for rec, _ in pairs] == records
         for rec, pred in pairs:
@@ -119,6 +119,8 @@ class TestEvaluate:
             assert n == max(answer_len[p] for p in prompts)
         lengths = [len(p) for prompts, _ in calls for p in prompts]
         assert lengths == sorted(lengths)
+        full = [len(p) + answer_len[p] for prompts, _ in calls for p in prompts]
+        assert full == sorted(full)  # the scorer's rule: whole teacher-forced length
 
     def test_uniform_random_digits_score_near_chance(self, data):
         rng = np.random.default_rng(0)
@@ -177,6 +179,84 @@ class TestEvaluate:
             correct = sum(c for c, _ in grid.cells.values())
             total = sum(t for _, t in grid.cells.values())
             assert result.split_accuracy[split.value] == pytest.approx(correct / total)
+
+
+def _write_split(src, dst, records):
+    """A dataset directory at `dst` whose only split is test_id = `records`."""
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest["files"] = {"test_id": "test_id.jsonl"}
+    manifest["counts"] = {"test_id": len(records)}
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    (dst / "test_id.jsonl").write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
+
+
+def _record(input_text, target_text, cell):
+    return SampleRecord(input_text, target_text, *cell, Split.TEST_ID, ComposeRule.MOD_ADD, 0)
+
+
+class TestFusedEvaluate:
+    """`evaluate` with a model scores and decodes each batch from one forward."""
+
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_one_forward_per_batch_gives_the_decoded_hits_and_the_scorer_losses(
+            self, data, monkeypatch, kind):
+        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=2, ffn_mult=2,
+                                        max_seq_len=64, pe_kind=kind, init_seed=4))
+        splits = (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION)
+        records = {split: load_records(data, split) for split in splits}
+        for split in (Split.TEST_ID, Split.TEST_EXTRAPOLATION):  # hollow holds one cell
+            assert len({len(r.input_text) for r in records[split]}) > 1
+            assert len({len(r.target_text) for r in records[split]}) > 1
+        monkeypatch.setattr(training, "TF_BATCH_SIZE", 5)
+        full_forwards = []
+        run = Transformer._run
+
+        def counting(self, tokens, positions, *args):
+            if isinstance(positions, slice):
+                full_forwards.append(tokens.shape)
+            return run(self, tokens, positions, *args)
+
+        monkeypatch.setattr(Transformer, "_run", counting)
+        result = evaluate(model, data)
+        teacher_forced = []  # (rows, width) of each batch's [BOS] + input + target[:-1]
+        for recs in records.values():
+            lengths = sorted(len(r.input_text) + len(r.target_text) for r in recs)
+            teacher_forced += [(len(lengths[i:i + 5]), lengths[i:i + 5][-1])
+                               for i in range(0, len(lengths), 5)]
+        assert len(teacher_forced) > len(records)
+        assert full_forwards == teacher_forced
+
+        monkeypatch.setattr(Transformer, "_run", run)
+        for split, recs in records.items():
+            expected = PairAccuracyGrid()
+            for rec, pred in decode_records(recs, evaluation.greedy_predictor(model)):
+                target = encode(rec.target_text)
+                expected.add((rec.p1, rec.p2), token_hits(pred, target), len(target))
+            assert result.grids[split].cells == expected.cells
+        split_loss, _ = training.split_metrics(
+            model, {split: training.encode_records(recs) for split, recs in records.items()})
+        assert result.report.ood_loss == split_loss.pop("ood")
+        assert result.split_tf_loss == split_loss
+
+    def test_a_batch_of_records_that_each_fit_decodes(self, data, tmp_path):
+        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_len=64))
+        long_prompt = _record("1" * 48 + "=", "12345", (2, 2))        # prompt 50 + answer 5
+        long_answer = _record("1234+567=", "0123456789" * 3, (3, 3))  # prompt 10 + answer 30
+        _write_split(data, tmp_path, [long_prompt, long_answer])
+        result = evaluate(model, tmp_path)
+        for rec in (long_prompt, long_answer):
+            prompt = np.asarray((BOS_ID,) + encode(rec.input_text))
+            alone = model.generate_greedy([prompt], len(rec.target_text))[0]
+            hits = token_hits(alone.tolist(), encode(rec.target_text))
+            assert result.grids[Split.TEST_ID].cells[(rec.p1, rec.p2)] == [hits, len(rec.target_text)]
+
+    def test_a_record_that_does_not_fit_raises(self, data, tmp_path):
+        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_len=64))
+        fits = _record("1234+567=", "0123456789", (3, 3))
+        too_long = _record("1" * 38 + "=", "1" * 25, (2, 2))  # prompt 40 + answer 25 > 64
+        _write_split(data, tmp_path, [fits, too_long])
+        with pytest.raises(LengthError, match="40 \\+ 25"):
+            evaluate(model, tmp_path)
 
 
 class TestEmission:

@@ -261,6 +261,32 @@ class TestGenerate:
                 ids.append(int(model.forward(np.asarray([ids])).data[0, -1].argmax()))
             assert row.tolist() == ids[len(prompt):]
 
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_decode_scores_the_whole_rows_and_decodes_from_the_prompts(self, kind):
+        model = Transformer(replace(TINY, pe_kind=kind))
+        rng = np.random.default_rng(14)
+        starts, lengths = np.array([50, 10, 23]), np.array([5, 30, 1])  # each fits; 50 + 30 would not
+        tokens = rng.integers(0, 17, size=(3, int((starts + lengths).max()) - 1))
+        logits, answers = model.decode(tokens, starts, lengths)
+        assert np.array_equal(logits, model.forward(tokens).data)
+        assert answers.shape == (3, 30)
+        for row, (start, n) in enumerate(zip(starts, lengths)):
+            alone = model.generate_greedy([tokens[row, :start]], int(n))[0]
+            assert answers[row, :n].tolist() == alone.tolist()
+            assert not answers[row, n:].any()
+        after_prompts = tokens.copy()
+        for row, start in enumerate(starts):
+            after_prompts[row, start:] = rng.integers(0, 17, size=tokens.shape[1] - start)
+        assert np.array_equal(model.decode(after_prompts, starts, lengths)[1], answers)
+
+    def test_decode_rejects_a_row_that_does_not_fit(self):
+        model = Transformer(TINY)
+        tokens = np.zeros((2, 60), dtype=np.int64)
+        with pytest.raises(LengthError, match="40 \\+ 25"):
+            model.decode(tokens, np.array([10, 40]), np.array([5, 25]))
+        with pytest.raises(LengthError, match="cannot hold slot 60"):  # fits, but not in 60 slots
+            model.decode(tokens, np.array([10, 3]), np.array([52, 1]))
+
     def test_equal_length_array_matches_list_of_rows(self):
         model = Transformer(TINY)
         prompts = np.random.default_rng(13).integers(0, 17, size=(4, 9))

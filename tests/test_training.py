@@ -159,6 +159,35 @@ class TestTraining:
         for name, t in expected.items():
             assert np.array_equal(info.value.state[name], t.data), name
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises_before_the_update(self, tiny_data, tmp_path, monkeypatch, bad):
+        config = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, eval_every=1, seed=6)
+        after_epoch_1 = Transformer(TINY_MODEL)
+        train(after_epoch_1, tiny_data, replace(config, epochs=1))
+        steps = config.epochs * -(-len(load_records(tiny_data, Split.TRAIN)) // config.batch_size)
+        model = Transformer(TINY_MODEL)
+        backward = ad.Tape.backward
+        calls = []
+
+        def bad_on_the_last_step(tape, loss):
+            backward(tape, loss)
+            calls.append(1)
+            if len(calls) == steps:
+                model.parameters()["head"].grad[0, 0] = bad
+
+        monkeypatch.setattr(ad.Tape, "backward", bad_on_the_last_step)
+        out = tmp_path / "run"
+        with pytest.raises(DivergenceError, match="gradient") as info:
+            train(model, tiny_data, config, out_dir=out)
+        assert len(calls) == steps
+        assert info.value.epoch == 2
+        expected = after_epoch_1.state_tensors()
+        assert info.value.state.keys() == expected.keys()
+        for name, t in expected.items():
+            assert np.array_equal(info.value.state[name], t.data), name
+        assert np.isfinite(model.parameters()["head"].data).all()  # the update never ran
+        assert not out.exists()
+
     def test_checkpoint_reload_matches(self, tiny_data, tmp_path):
         model = Transformer(TINY_MODEL)
         train(model, tiny_data,
