@@ -5,6 +5,10 @@ Tape that records operations in execution order, and analytic backward
 rules for each primitive.  Ops run tape-free (pure numpy forward) when no
 tape is active, which is how inference and generation stay cheap.
 
+Primitives take only the forms the model runs: `matmul` is (B, S, D) @
+(D, F), `add` broadcasts only constants, `embedding` gathers from a frozen
+table.  The backward walk adds each leaf's gradient straight into .grad.
+
 Gradient flow is single-threaded per tape; reductions that feed losses
 (softmax normalizers, norms, cross-entropy) accumulate in float64 while the
 bulk matmuls stay in the array dtype so BLAS runs at full speed.
@@ -91,31 +95,24 @@ class Tape:
         self._produced.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf."""
+        """Add d(loss)/d(leaf) into .grad of each requiring leaf as the walk reaches it."""
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads = {id(loss): np.ones_like(loss.data)}
-        holders = {id(loss): loss}
         for out, inputs, backward_fn in reversed(self._nodes):
             g = grads.pop(id(out), None)
-            holders.pop(id(out), None)
             if g is None:
                 continue
             for inp, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not inp.requires_grad:
                     continue
                 key = id(inp)
-                if key in grads:
+                if key not in self._produced:
+                    inp.grad = gi if inp.grad is None else inp.grad + gi
+                elif key in grads:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = gi
-                holders[key] = inp
-        for key, t in holders.items():
-            if key in self._produced:
-                continue
-            g = grads.get(key)
-            if g is not None:
-                t.grad = g if t.grad is None else t.grad + g
 
 
 def _active_tape() -> Tape | None:
@@ -131,62 +128,41 @@ def _wrap(data, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back down to a broadcast operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports 2D @ 2D, 3D @ 2D, and batched 3D @ 3D.
-
-    3D @ 2D runs forward and backward as single 2-D GEMMs over the
-    (batch * length) rows, which BLAS does much faster than a stack of
-    per-batch products.
-    """
+    """(B, S, D) @ (D, F), forward and backward as single 2-D GEMMs over the
+    B * S rows, which BLAS runs much faster than a stack of per-batch products."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"cannot matmul shapes {ad.shape} and {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"batch sizes differ: {ad.shape} vs {bd.shape}")
+    if ad.ndim != 3 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul takes (B, S, D) @ (D, F), got {ad.shape} and {bd.shape}")
     a_shape = ad.shape
-    flat = ad.ndim == 3 and bd.ndim == 2
-    if flat:
-        ad = ad.reshape(-1, a_shape[-1])
+    ad = ad.reshape(-1, a_shape[-1])
     data = (ad @ bd).reshape(*a_shape[:-1], bd.shape[-1])
 
     def backward(g):
-        if flat:
-            g = g.reshape(-1, g.shape[-1])
-        ga = gb = None
-        if a.requires_grad:
-            ga = (g @ _swap_last(bd)).reshape(a_shape)
-        if b.requires_grad:
-            gb = _swap_last(ad) @ g
+        g = g.reshape(-1, g.shape[-1])
+        ga = (g @ bd.T).reshape(a_shape) if a.requires_grad else None
+        gb = ad.T @ g if b.requires_grad else None
         return ga, gb
 
     return _wrap(data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; a broadcast operand must be a constant, as the sinusoid table is."""
     ad, bd = a.data, b.data
     try:
         data = ad + bd
     except ValueError as exc:
         raise ShapeError(f"cannot add shapes {ad.shape} and {bd.shape}") from exc
+    if any(t.requires_grad and t.data.shape != data.shape for t in (a, b)):
+        raise ShapeError(f"add broadcasts only constants, got {ad.shape} + {bd.shape} with a gradient")
 
     def backward(g):
-        ga = _unbroadcast(g, ad.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, bd.shape) if b.requires_grad else None
-        return ga, gb
+        return g, g
 
     return _wrap(data, (a, b), backward)
 
@@ -353,20 +329,13 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather from an embedding table; backward is a scatter-add."""
+    """Row gather from a frozen embedding table; no gradient reaches it."""
+    if table.requires_grad:
+        raise ValueError("embedding tables are frozen; got one that requires a gradient")
     ids = np.asarray(ids)
     if ids.min() < 0 or ids.max() >= table.data.shape[0]:
         raise ShapeError(f"ids outside table of {table.data.shape[0]} rows")
-    data = table.data[ids]
-
-    def backward(g):
-        if not table.requires_grad:
-            return (None,)
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
-        return (gt,)
-
-    return _wrap(data, (table,), backward)
+    return Tensor(table.data[ids])
 
 
 def _token_nll(logits: np.ndarray, targets: np.ndarray):

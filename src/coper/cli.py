@@ -1,10 +1,10 @@
 """Command-line pipeline: gen, verify, train, eval, analyze, plot, and
 one-shot run-experiment recipes.
 
-Exit codes: 0 success, 1 validation problem (bad flags, unknown profile,
-failed dataset verification), 2 runtime failure.  Heavy imports happen
-inside the commands so COPER_THREADS can cap BLAS threads before numpy
-loads.
+Exit codes: 0 success, 1 validation problem (bad flags or config fields,
+unknown profile, failed dataset verification), 2 runtime failure.  Heavy
+imports happen inside the commands so COPER_THREADS can cap BLAS threads
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +75,17 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
+@contextmanager
+def _config_section(name: str):
+    """Report a config section's unknown or missing field as bad input."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationFailure(f"config section {name!r} lacks field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationFailure(f"config section {name!r}: {exc}") from exc
+
+
 def _resolve(args: argparse.Namespace):
     """Profile + scale + config file + flags -> (profile, ProfileSettings).
 
@@ -95,12 +107,14 @@ def _resolve(args: argparse.Namespace):
     cfg = _load_config_file(getattr(args, "config", None))
 
     if "policy" in cfg:
-        settings = replace(settings, policy=SplitPolicy.from_dict(cfg["policy"]))
+        with _config_section("policy"):
+            settings = replace(settings, policy=SplitPolicy.from_dict(cfg["policy"]))
     if "counts" in cfg:
         settings = replace(settings, counts={Split(k): int(v) for k, v in cfg["counts"].items()})
     if "task_params" in cfg:
-        settings = replace(settings, task_params=TaskParams.from_dict(
-            {**settings.task_params.to_dict(), **cfg["task_params"]}))
+        with _config_section("task_params"):
+            settings = replace(settings, task_params=TaskParams.from_dict(
+                {**settings.task_params.to_dict(), **cfg["task_params"]}))
     if "answer_cap" in cfg:
         cap = cfg["answer_cap"]
         settings = replace(settings, answer_policy=(
@@ -108,22 +122,24 @@ def _resolve(args: argparse.Namespace):
 
     model = settings.model
     if "model" in cfg:
-        fields = dict(cfg["model"])
-        if "pe_kind" in fields:
-            fields["pe_kind"] = PeKind(fields["pe_kind"])
-        model = replace(model, **fields)
+        with _config_section("model"):
+            fields = dict(cfg["model"])
+            if "pe_kind" in fields:
+                fields["pe_kind"] = PeKind(fields["pe_kind"])
+            model = replace(model, **fields)
     if getattr(args, "pe", None):
         model = replace(model, pe_kind=PeKind(args.pe))
-    if getattr(args, "layers", None):
+    if getattr(args, "layers", None) is not None:
         model = replace(model, n_layers=args.layers)
 
     train_cfg = settings.train
     if "train" in cfg:
-        fields = dict(cfg["train"])
-        if "loss_region" in fields:
-            fields["loss_region"] = LossRegion(fields["loss_region"])
-        train_cfg = replace(train_cfg, **fields)
-    if getattr(args, "epochs", None):
+        with _config_section("train"):
+            fields = dict(cfg["train"])
+            if "loss_region" in fields:
+                fields["loss_region"] = LossRegion(fields["loss_region"])
+            train_cfg = replace(train_cfg, **fields)
+    if getattr(args, "epochs", None) is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
 
     return profile, replace(settings, model=model, train=train_cfg)

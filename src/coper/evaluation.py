@@ -23,7 +23,7 @@ from .codec import VOCAB_SIZE, encode
 from .dataset import Split, load_records
 from .model import ConfigError, Transformer
 from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
-                       ood_weighted, teacher_forced_metrics)
+                       ood_weighted)
 
 
 class InvalidTarget(ValueError):
@@ -159,8 +159,8 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
     forward (`_decode_and_score`).  A custom `predictor(prompts, n) -> ids`
     replaces the model's greedy decoding (used by the harness self-tests);
     it receives a list of 1-D prompt arrays and the batch's longest answer
-    length `n`, and returns at least `n` ids per row.  Losses require a
-    model and are skipped when one is not given.  Loading each split
+    length `n`, and returns at least `n` ids per row.  A predictor run
+    reports no losses, and `model` may be None.  Loading each split
     rejects a dataset whose manifest has a foreign format or vocabulary.
     """
     if model is not None:
@@ -182,8 +182,6 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
             preds, scores[split] = _decode_and_score(model, samples)
         else:
             preds = [pred for _, pred in decode_records(records, predictor)]
-            if model is not None:
-                scores[split] = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
         grid = PairAccuracyGrid()
         for rec, pred in zip(records, preds):
             target = encode(rec.target_text)

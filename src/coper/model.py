@@ -377,7 +377,19 @@ def load_checkpoint(path) -> tuple[Transformer, int, int]:
         raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    model = Transformer(ModelConfig.from_dict(manifest["config"]))
+    missing = {"config", "step", "master_seed", "tensors"} - manifest.keys()
+    if missing:
+        raise CheckpointError(f"checkpoint manifest lacks {sorted(missing)}")
+    config = manifest["config"] if isinstance(manifest["config"], dict) else {}
+    names = ModelConfig().to_dict().keys()
+    if config.keys() != names:
+        raise CheckpointError(f"checkpoint config lacks fields {sorted(names - config.keys())} "
+                              f"and has unknown fields {sorted(config.keys() - names)}")
+    try:
+        config = ModelConfig.from_dict(config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    model = Transformer(config)
     tensors = model.state_tensors()
     blob = raw[4 + hlen:]
     seen = set()

@@ -60,6 +60,15 @@ class TestBackwardBasics:
         assert float(x.grad) == 0.0
         assert ad.grad_check(lambda: ad.scale(ad.add(x, x), 0.0), [x]) == 0.0
 
+    def test_leaf_gradients_sum_and_intermediates_keep_none(self):
+        x, w = t64(2.0), t64(3.0)
+        with ad.Tape() as tape:
+            y = ad.add(x, w)
+            z = ad.add(ad.add(y, x), ad.scale(y, 2.0))
+        tape.backward(z)
+        assert float(x.grad) == pytest.approx(4.0) and float(w.grad) == pytest.approx(3.0)
+        assert y.grad is None and z.grad is None
+
     def test_grad_accumulates_across_tapes(self):
         x = t64(2.0)
         for _ in range(2):
@@ -114,9 +123,29 @@ class TestForwardSemantics:
             ad.cross_entropy(ad.Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2), int), np.zeros((1, 2)))
 
     def test_matmul_shape_error_names_shapes(self):
-        with pytest.raises(ad.ShapeError) as err:
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
-        assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+        # Only (B, S, D) @ (D, F) is accepted: not 2-D @ 2-D, not batched 3-D @ 3-D.
+        for a, b in (((2, 3), (4, 2)), ((2, 2, 3), (4, 2)), ((4, 5), (5, 3)), ((2, 3, 4), (2, 4, 5))):
+            with pytest.raises(ad.ShapeError) as err:
+                ad.matmul(ad.Tensor(np.zeros(a)), ad.Tensor(np.zeros(b)))
+            assert str(a) in str(err.value) and str(b) in str(err.value)
+
+    def test_add_rejects_a_broadcast_operand_with_a_gradient(self):
+        a = ad.Tensor(np.zeros((2, 3, 5)), requires_grad=True)
+        bias = ad.Tensor(np.zeros(5), requires_grad=True)
+        with pytest.raises(ad.ShapeError):
+            ad.add(a, bias)
+        with pytest.raises(ad.ShapeError):
+            ad.add(bias, a)
+        assert ad.add(a, ad.Tensor(np.ones(5))).shape == (2, 3, 5)
+
+    def test_embedding_gathers_from_a_frozen_table_only(self):
+        table = np.arange(12.0).reshape(4, 3)
+        ids = np.array([[3, 0, 3]])
+        assert np.array_equal(ad.embedding(ad.Tensor(table), ids).data, table[ids])
+        with pytest.raises(ad.ShapeError):
+            ad.embedding(ad.Tensor(table), np.array([[4]]))
+        with pytest.raises(ValueError):
+            ad.embedding(ad.Tensor(table, requires_grad=True), ids)
 
     def test_head_split_merge_round_trip(self):
         rng = np.random.default_rng(2)
@@ -141,28 +170,17 @@ class TestGradCheckPrimitives:
         err = ad.grad_check(f, params, epsilon=1e-3)
         assert err < tol, f"max relative gradient error {err}"
 
-    def test_matmul_2d(self):
-        rng = np.random.default_rng(10)
-        a, b = rand64(rng, 4, 5), rand64(rng, 5, 3)
-        self.check(lambda: ad.cross_entropy(ad.matmul(a, b), np.array([0, 1, 2, 0]), np.ones(4)), [a, b])
-
     def test_matmul_3d_by_2d(self):
         rng = np.random.default_rng(11)
         a, b = rand64(rng, 2, 4, 5), rand64(rng, 5, 3)
         f = lambda: ad.cross_entropy(ad.matmul(a, b), np.zeros((2, 4), int), np.ones((2, 4)))
         self.check(f, [a, b])
 
-    def test_matmul_batched(self):
-        rng = np.random.default_rng(12)
-        a, b = rand64(rng, 2, 3, 4), rand64(rng, 2, 4, 5)
-        f = lambda: ad.cross_entropy(ad.matmul(a, b), np.ones((2, 3), int), np.ones((2, 3)))
-        self.check(f, [a, b])
-
-    def test_add_broadcast_bias(self):
+    def test_add_constant_broadcast(self):
         rng = np.random.default_rng(13)
-        a, bias = rand64(rng, 2, 3, 5), rand64(rng, 5)
-        f = lambda: ad.cross_entropy(ad.add(a, bias), np.zeros((2, 3), int), np.ones((2, 3)))
-        self.check(f, [a, bias])
+        a, table = rand64(rng, 2, 3, 5), rand64(rng, 3, 5, grad=False)
+        f = lambda: ad.cross_entropy(ad.add(a, table), np.zeros((2, 3), int), np.ones((2, 3)))
+        self.check(f, [a])
 
     def test_scale_and_multiply(self):
         rng = np.random.default_rng(14)
@@ -205,14 +223,6 @@ class TestGradCheckPrimitives:
                                      np.ones((2, 3), int), np.ones((2, 3)))
         self.check(f, [a, g, w])
 
-    def test_embedding_scatter(self):
-        rng = np.random.default_rng(19)
-        table = rand64(rng, 7, 5)
-        ids = np.array([[0, 3, 3, 6], [1, 1, 2, 5]])
-        f = lambda: ad.cross_entropy(ad.embedding(table, ids),
-                                     np.ones((2, 4), int) * 2, np.ones((2, 4)))
-        self.check(f, [table])
-
     def test_transpose_reshape_heads_rope(self):
         rng = np.random.default_rng(20)
         from coper.model import rope_tables
@@ -225,7 +235,7 @@ class TestGradCheckPrimitives:
             h = ad.rope_rotate(h, cos.astype(np.float64), sin.astype(np.float64))
             o = ad.attention(h, h, h, 1.0)                # (4, 3, 4)
             m = ad.merge_heads(o, 2)                      # (2, 3, 8)
-            return ad.cross_entropy(ad.matmul(m, ad.matmul(rand_w, w)),
+            return ad.cross_entropy(ad.matmul(ad.matmul(m, rand_w), w),
                                     np.ones((2, 3), int), np.ones((2, 3)))
 
         rand_w = rand64(rng, 8, 4)

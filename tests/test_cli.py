@@ -233,6 +233,22 @@ class TestEndToEnd:
         assert stamp["model"]["pe_kind"] == "sinpe"
         assert stamp["train"]["epochs"] == 1
 
+    @pytest.mark.parametrize("flag, message", [("--epochs", "epochs"), ("--layers", "n_layers")])
+    def test_zero_override_fails_validation(self, tmp_path, capsys, flag, message):
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "d"),
+                           "--out", str(tmp_path / "t"), flag, "0")
+        assert code == 1 and message in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("section, field", [("model", "d_modle"), ("train", "epoch")])
+    def test_misspelt_config_field_fails_validation(self, tmp_path, capsys, section, field):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({section: {field: 32}}))
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "d"),
+                           "--out", str(tmp_path / "t"), "--config", str(config))
+        assert code == 1
+        assert f"config section '{section}'" in err and field in err
+
     def test_plot_without_inputs_fails_validation(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "--out", str(tmp_path / "p"))
         assert code == 1

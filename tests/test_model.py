@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,20 +414,42 @@ class TestCheckpoint:
         tokens = np.arange(10, dtype=np.int64).reshape(1, 10)
         assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A saved TINY checkpoint whose manifest `edit` has changed in place."""
         import struct
 
-        model = Transformer(TINY)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(Transformer(TINY), path)
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[:4])
         manifest = json.loads(raw[4:4 + hlen])
-        manifest["format"] = "ckpt-0"
+        edit(manifest)
         header = json.dumps(manifest, sort_keys=True).encode()
         (tmp_path / "bad.ckpt").write_bytes(struct.pack("<I", len(header)) + header + raw[4 + hlen:])
+        return tmp_path / "bad.ckpt"
+
+    def test_version_mismatch_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "bad.ckpt")
+            load_checkpoint(self.edited(tmp_path, lambda m: m.update(format="ckpt-0")))
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda m: m["config"].pop("pe_kind"), "lacks fields ['pe_kind']"),
+        (lambda m: m["config"].update(dropout=0.1), "unknown fields ['dropout']"),
+        (lambda m: m["config"].update(pe_kind="alibi"), "is invalid: 'alibi'"),
+    ], ids=["missing_field", "unknown_field", "bad_value"])
+    def test_foreign_config_rejected(self, tmp_path, capsys, edit, names):
+        bad = self.edited(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"checkpoint config .*" + re.escape(names)):
+            load_checkpoint(bad)
+        assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert "error: checkpoint config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["config", "step", "master_seed", "tensors"])
+    def test_missing_manifest_key_rejected(self, tmp_path, key):
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(self.edited(tmp_path, lambda m: m.pop(key)))
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import coper.model
@@ -451,9 +474,10 @@ class TestCheckpoint:
 
 
 class TestFullModelGradients:
-    def test_grad_check_small_model(self):
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_grad_check_small_model(self, kind):
         cfg = ModelConfig(d_model=16, n_heads=2, n_layers=2, ffn_mult=2,
-                          max_seq_len=16, init_seed=0)
+                          max_seq_len=16, pe_kind=kind, init_seed=0)
         model = Transformer(cfg).astype(np.float64)
         n_params = sum(t.data.size for t in model.parameters().values())
         assert n_params <= 10_000
