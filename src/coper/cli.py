@@ -14,8 +14,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 
@@ -75,13 +74,13 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-@contextmanager
-def _config_section(name: str):
-    """Report a config section's unknown or missing field as bad input."""
+def _config_section(current, name: str, section):
+    """`current` with the fields `section` names replaced; an unknown field,
+    or a section the profile has no record for, is bad input."""
+    if current is None:
+        raise ValidationFailure(f"config section {name!r} does not apply: the profile has no {name}")
     try:
-        yield
-    except KeyError as exc:
-        raise ValidationFailure(f"config section {name!r} lacks field {exc}") from exc
+        return replace(current, **section)
     except TypeError as exc:
         raise ValidationFailure(f"config section {name!r}: {exc}") from exc
 
@@ -91,13 +90,12 @@ def _resolve(args: argparse.Namespace):
 
     Precedence (lowest to highest): profile defaults, config file sections
     ('policy', 'counts', 'task_params', 'answer_cap', 'model', 'train'),
-    then command-line flags.
+    then command-line flags.  A 'policy', 'task_params', 'model' or 'train'
+    section overrides only the fields it names.
     """
     from .composers import AnswerLenPolicy
-    from .dataset import Split, SplitPolicy, TaskParams
-    from .model import PeKind
+    from .dataset import Split
     from .profiles import get_profile
-    from .training import LossRegion
 
     try:
         profile = get_profile(args.profile)
@@ -106,39 +104,21 @@ def _resolve(args: argparse.Namespace):
     settings = profile.settings(args.scale)
     cfg = _load_config_file(getattr(args, "config", None))
 
-    if "policy" in cfg:
-        with _config_section("policy"):
-            settings = replace(settings, policy=SplitPolicy.from_dict(cfg["policy"]))
+    for name in ("policy", "task_params", "model", "train"):
+        if name in cfg:
+            section = _config_section(getattr(settings, name), name, cfg[name])
+            settings = replace(settings, **{name: section})
     if "counts" in cfg:
         settings = replace(settings, counts={Split(k): int(v) for k, v in cfg["counts"].items()})
-    if "task_params" in cfg:
-        with _config_section("task_params"):
-            settings = replace(settings, task_params=TaskParams.from_dict(
-                {**settings.task_params.to_dict(), **cfg["task_params"]}))
     if "answer_cap" in cfg:
         cap = cfg["answer_cap"]
-        settings = replace(settings, answer_policy=(
-            AnswerLenPolicy.full_lcm() if cap is None else AnswerLenPolicy.capped(int(cap))))
+        settings = replace(settings, answer_policy=AnswerLenPolicy(None if cap is None else int(cap)))
 
-    model = settings.model
-    if "model" in cfg:
-        with _config_section("model"):
-            fields = dict(cfg["model"])
-            if "pe_kind" in fields:
-                fields["pe_kind"] = PeKind(fields["pe_kind"])
-            model = replace(model, **fields)
+    model, train_cfg = settings.model, settings.train
     if getattr(args, "pe", None):
-        model = replace(model, pe_kind=PeKind(args.pe))
+        model = replace(model, pe_kind=args.pe)
     if getattr(args, "layers", None) is not None:
         model = replace(model, n_layers=args.layers)
-
-    train_cfg = settings.train
-    if "train" in cfg:
-        with _config_section("train"):
-            fields = dict(cfg["train"])
-            if "loss_region" in fields:
-                fields["loss_region"] = LossRegion(fields["loss_region"])
-            train_cfg = replace(train_cfg, **fields)
     if getattr(args, "epochs", None) is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
 
@@ -181,7 +161,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     model = Transformer(model_cfg)
     _, runlog = train(model, Path(args.data), train_cfg, out_dir=out, verbose=args.verbose)
-    _write_stamp(out, args, {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
+    _write_stamp(out, args, {"model": asdict(model_cfg), "train": asdict(train_cfg)})
     final = runlog.final
     print(f"trained {train_cfg.epochs} epochs; final train loss {final.train_loss:.4f}")
     return 0
@@ -230,7 +210,7 @@ def _cmd_analyze(args) -> int:
             values = _sample_exact_period(period, 1, params.value_hi, rng)
             seq = gen_scaled_single(PeriodicCycle(values, base=params.value_hi + 1), 3)
             w = invariance_premise_test(seq, period)
-            cases.append({"period": period, "values": list(values), **w.to_dict()})
+            cases.append({"period": period, "values": list(values), **asdict(w)})
         witness = {"all_violate": all(not c["holds"] for c in cases), "cases": cases}
     else:  # pragma: no cover - argparse choices guard this
         raise ValidationFailure(f"unknown analyze target {args.target!r}")
@@ -305,7 +285,7 @@ def _cmd_run_experiment(args) -> int:
     emit_category_bar(named_reports, out / "categories.csv", out / "categories.svg")
     _write_json(out / "summary.json",
                 {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc})
-    _write_stamp(out, args, {"model": settings.model.to_dict(), "train": settings.train.to_dict()})
+    _write_stamp(out, args, {"model": asdict(settings.model), "train": asdict(settings.train)})
     print(f"profile {profile.name}: mean id {_fmt(mean_acc['id_accuracy'])} "
           f"hollow {_fmt(mean_acc['hollow_accuracy'])} "
           f"extrapolation {_fmt(mean_acc['extrapolation_accuracy'])}")

@@ -43,15 +43,9 @@ class AnswerLenPolicy:
 
     max_len: int | None = None  # None = always the full lcm
 
-    @classmethod
-    def full_lcm(cls) -> "AnswerLenPolicy":
-        return cls(None)
-
-    @classmethod
-    def capped(cls, max_len: int) -> "AnswerLenPolicy":
-        if max_len < 1:
-            raise InvalidSpec(f"answer cap must be >= 1, got {max_len}")
-        return cls(max_len)
+    def __post_init__(self):
+        if self.max_len is not None and self.max_len < 1:
+            raise InvalidSpec(f"answer cap must be >= 1, got {self.max_len}")
 
     def answer_len(self, full_len: int) -> int:
         return full_len if self.max_len is None else min(full_len, self.max_len)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -85,10 +85,10 @@ class SplitPolicy:
     train_hi: int
     total_lo: int
     total_hi: int
-    hollow: frozenset = frozenset()
+    hollow: tuple = ()  # sorted, distinct (p1, p2) pairs; any iterable of pairs is normalised
 
     def __post_init__(self):
-        object.__setattr__(self, "hollow", frozenset((int(a), int(b)) for a, b in self.hollow))
+        object.__setattr__(self, "hollow", tuple(sorted({(int(a), int(b)) for a, b in self.hollow})))
         if not (self.total_lo <= self.train_lo <= self.train_hi <= self.total_hi):
             raise InfeasiblePolicy(
                 f"need total_lo <= train_lo <= train_hi <= total_hi, got "
@@ -101,28 +101,14 @@ class SplitPolicy:
                 raise InfeasiblePolicy(f"hollow pair ({p1}, {p2}) outside the training range")
 
     @staticmethod
-    def block(lo: int, hi: int) -> frozenset:
-        """Expand a square block [lo, hi]^2 into its pair set."""
-        return frozenset((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
+    def block(lo: int, hi: int) -> tuple:
+        """Expand a square block [lo, hi]^2 into its sorted pairs."""
+        return tuple((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
 
     @classmethod
     def default(cls) -> "SplitPolicy":
         """Training periods [4, 14] inside [2, 16], hollow block [8, 11]^2."""
         return cls(4, 14, 2, 16, cls.block(8, 11))
-
-    def to_dict(self) -> dict:
-        return {
-            "train_lo": self.train_lo,
-            "train_hi": self.train_hi,
-            "total_lo": self.total_lo,
-            "total_hi": self.total_hi,
-            "hollow": sorted(self.hollow),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitPolicy":
-        return cls(d["train_lo"], d["train_hi"], d["total_lo"], d["total_hi"],
-                   frozenset(tuple(p) for p in d["hollow"]))
 
 
 def classify_pair(p1: int, p2: int, policy: SplitPolicy) -> PairClass:
@@ -170,24 +156,6 @@ class TaskParams:
     x_id_bound: float = 3 * math.pi      # sine: train on |x| <= bound
     x_ood_bound: float = 6 * math.pi     # sine: OOD on bound < |x| <= ood_bound
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt_len_lo": self.prompt_len_lo,
-            "prompt_len_hi": self.prompt_len_hi,
-            "prompt_tracks_period": self.prompt_tracks_period,
-            "answer_len": self.answer_len,
-            "repeats": self.repeats,
-            "prompt_blocks": self.prompt_blocks,
-            "value_hi": self.value_hi,
-            "factor": self.factor,
-            "x_id_bound": self.x_id_bound,
-            "x_ood_bound": self.x_ood_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskParams":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -218,6 +186,21 @@ class SampleRecord:
                    Split(d["split"]), ComposeRule(d["rule"]), int(d["seed_id"]))
 
 
+def _section(cls, name: str, d: dict):
+    """`cls(**d)` for the manifest section `name`; a missing, unknown or bad
+    field is an InvalidSpec naming the section and the field."""
+    if not isinstance(d, dict):
+        raise InvalidSpec(f"manifest section {name!r} is not an object")
+    names = {f.name for f in fields(cls)}
+    if d.keys() != names:
+        raise InvalidSpec(f"manifest section {name!r} lacks fields {sorted(names - d.keys())} "
+                          f"and has unknown fields {sorted(d.keys() - names)}")
+    try:
+        return cls(**d)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"manifest section {name!r} is invalid: {exc}") from exc
+
+
 @dataclass
 class DatasetManifest:
     rule: ComposeRule
@@ -234,12 +217,12 @@ class DatasetManifest:
         return {
             "format_version": self.format_version,
             "rule": self.rule.value,
-            "policy": self.policy.to_dict() if self.policy is not None else None,
+            "policy": asdict(self.policy) if self.policy is not None else None,
             "counts": {s.value: int(n) for s, n in self.counts.items()},
             "master_seed": self.master_seed,
             "modulus": self.modulus,
-            "answer_len_policy": {"kind": self.answer_policy.kind, "max_len": self.answer_policy.max_len},
-            "task_params": self.task_params.to_dict(),
+            "answer_len_policy": {"kind": self.answer_policy.kind, **asdict(self.answer_policy)},
+            "task_params": asdict(self.task_params),
             "files": {s.value: f for s, f in self.files.items()},
             "vocab": codec.vocab_table(),
             "notes": {
@@ -255,15 +238,21 @@ class DatasetManifest:
             raise InvalidSpec(f"unsupported dataset format: {d.get('format_version')!r}")
         if d.get("vocab") != codec.vocab_table():
             raise InvalidSpec(f"dataset vocabulary {d.get('vocab')!r} is not this codec's table")
+        missing = {"rule", "policy", "counts", "master_seed", "modulus", "answer_len_policy",
+                   "task_params", "files"} - d.keys()
+        if missing:
+            raise InvalidSpec(f"manifest lacks sections {sorted(missing)}")
         alp = d["answer_len_policy"]
+        if isinstance(alp, dict):  # its "kind" is derived from max_len
+            alp = {k: v for k, v in alp.items() if k != "kind"}
         return cls(
             rule=ComposeRule(d["rule"]),
-            policy=SplitPolicy.from_dict(d["policy"]) if d["policy"] is not None else None,
+            policy=_section(SplitPolicy, "policy", d["policy"]) if d["policy"] is not None else None,
             counts={Split(s): int(n) for s, n in d["counts"].items()},
             master_seed=int(d["master_seed"]),
             modulus=int(d["modulus"]),
-            answer_policy=AnswerLenPolicy(alp["max_len"]),
-            task_params=TaskParams.from_dict(d["task_params"]),
+            answer_policy=_section(AnswerLenPolicy, "answer_len_policy", alp),
+            task_params=_section(TaskParams, "task_params", d["task_params"]),
             files={Split(s): f for s, f in d["files"].items()},
         )
 

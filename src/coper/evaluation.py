@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +77,7 @@ class CategoryReport:
         return sum(present) / len(present) if present else None
 
     def to_dict(self) -> dict:
-        return {
-            "id_loss": self.id_loss,
-            "ood_loss": self.ood_loss,
-            "id_accuracy": self.id_accuracy,
-            "hollow_accuracy": self.hollow_accuracy,
-            "extrapolation_accuracy": self.extrapolation_accuracy,
-            "average": self.average,
-        }
+        return {**asdict(self), "average": self.average}
 
 
 @dataclass

@@ -104,10 +104,6 @@ class PremiseWitness:
     holds: bool
     violation: tuple | None    # first (a, b) with f(a)-f(b) != f(a+T)-f(b+T)
 
-    def to_dict(self) -> dict:
-        return {"holds": self.holds,
-                "violation": list(self.violation) if self.violation else None}
-
 
 def invariance_premise_test(seq, period: int) -> PremiseWitness:
     """Exhaustively check f(a) - f(b) == f(a + T) - f(b + T) over a sequence."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -66,6 +66,7 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "pe_kind", PeKind(self.pe_kind))
         if self.d_model % (2 * self.n_heads) != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by 2 * n_heads = {2 * self.n_heads}")
@@ -77,25 +78,6 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "ffn_mult": self.ffn_mult,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "pe_kind": self.pe_kind.value,
-            "rope_base": self.rope_base,
-            "init_seed": self.init_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["pe_kind"] = PeKind(d["pe_kind"])
-        return cls(**d)
 
 
 def rope_tables(d_head: int, n_positions: int, base: float) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +315,7 @@ def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 
         offset += arr.nbytes
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "step": int(step),
         "master_seed": int(master_seed),
         "tensors": index,
@@ -381,20 +363,28 @@ def load_checkpoint(path) -> tuple[Transformer, int, int]:
     if missing:
         raise CheckpointError(f"checkpoint manifest lacks {sorted(missing)}")
     config = manifest["config"] if isinstance(manifest["config"], dict) else {}
-    names = ModelConfig().to_dict().keys()
+    names = {f.name for f in fields(ModelConfig)}
     if config.keys() != names:
         raise CheckpointError(f"checkpoint config lacks fields {sorted(names - config.keys())} "
                               f"and has unknown fields {sorted(config.keys() - names)}")
     try:
-        config = ModelConfig.from_dict(config)
+        config = ModelConfig(**config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
     model = Transformer(config)
     tensors = model.state_tensors()
     blob = raw[4 + hlen:]
     seen = set()
+    if not isinstance(manifest["tensors"], list):
+        raise CheckpointError("checkpoint tensor index is not a list")
     for entry in manifest["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
+            raise CheckpointError(f"checkpoint tensor entry {entry!r} lacks name, shape or offset")
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(n) is int for n in shape) or type(offset) is not int or offset < 0):
+            raise CheckpointError(f"checkpoint tensor entry {entry!r} is malformed")
+        shape = tuple(shape)
         if name not in tensors:
             raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
         expect = tensors[name].data.shape

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -51,15 +51,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "loss_region", LossRegion(self.loss_region))
         if self.learning_rate <= 0 or self.weight_decay < 0 or self.eps <= 0:
             raise ValueError("rates must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size, and eval_every must be >= 1")
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["loss_region"] = self.loss_region.value
-        return d
 
 
 @dataclass
@@ -145,15 +141,6 @@ class RunLog:
                                  "" if acc is None else f"{acc:.6f}"])
         return buf.getvalue()
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [
-                {"epoch": pt.epoch, "train_loss": pt.train_loss,
-                 "split_loss": pt.split_loss, "split_accuracy": pt.split_accuracy}
-                for pt in self.points
-            ]
-        }
-
     @classmethod
     def from_csv_text(cls, text: str) -> "RunLog":
         rows = list(csv.reader(io.StringIO(text)))
@@ -176,7 +163,7 @@ class RunLog:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_atomic(out_dir / "runlog.csv", self.to_csv_text())
-        write_atomic(out_dir / "runlog.json", json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_atomic(out_dir / "runlog.json", json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
 
 
 class AdamW:

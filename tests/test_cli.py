@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -240,7 +241,8 @@ class TestEndToEnd:
         assert code == 1 and message in err
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("section, field", [("model", "d_modle"), ("train", "epoch")])
+    @pytest.mark.parametrize("section, field", [("model", "d_modle"), ("train", "epoch"),
+                                                ("policy", "hollw"), ("task_params", "answer_length")])
     def test_misspelt_config_field_fails_validation(self, tmp_path, capsys, section, field):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({section: {field: 32}}))
@@ -248,6 +250,28 @@ class TestEndToEnd:
                            "--out", str(tmp_path / "t"), "--config", str(config))
         assert code == 1
         assert f"config section '{section}'" in err and field in err
+
+    def test_config_section_overrides_only_the_fields_it_names(self, tmp_path, capsys):
+        config = tmp_path / "partial.json"
+        config.write_text(json.dumps({**MICRO_CONFIG, "policy": {"total_hi": 12},
+                                      "task_params": {"answer_len": 7}}))
+        code, _, err = run(capsys, "gen", "--profile", "coper-default", "--out", str(tmp_path / "d"),
+                           "--config", str(config))
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        desk = get_profile("coper-default").desk
+        assert manifest["policy"] == json.loads(json.dumps(asdict(replace(desk.policy, total_hi=12))))
+        assert manifest["task_params"] == asdict(replace(desk.task_params, answer_len=7))
+
+    def test_config_section_the_profile_lacks_fails_validation(self, tmp_path, capsys):
+        config = tmp_path / "sine.json"
+        policy = {"train_lo": 3, "train_hi": 9, "total_lo": 2, "total_hi": 11, "hollow": []}
+        config.write_text(json.dumps({"policy": policy}))
+        code, _, err = run(capsys, "gen", "--profile", "sine", "--out", str(tmp_path / "d"),
+                           "--config", str(config))
+        assert code == 1
+        assert "config section 'policy' does not apply" in err
+        assert not (tmp_path / "d").exists()
 
     def test_plot_without_inputs_fails_validation(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "--out", str(tmp_path / "p"))

@@ -213,9 +213,14 @@ class TestComposeSpec:
         policy = SplitPolicy(2, 4, 2, 6)
         with pytest.raises(InvalidSpec, match="shorter than the largest period 6"):
             build_dataset(ComposeRule.MOD_ADD, policy, {Split.TRAIN: 1}, 0, tmp_path,
-                          answer_policy=AnswerLenPolicy.capped(5))
+                          answer_policy=AnswerLenPolicy(5))
 
     def test_policy_lengths(self):
-        assert AnswerLenPolicy.full_lcm().answer_len(77) == 77
-        assert AnswerLenPolicy.capped(40).answer_len(77) == 40
-        assert AnswerLenPolicy.capped(40).answer_len(12) == 12
+        assert AnswerLenPolicy().answer_len(77) == 77
+        assert AnswerLenPolicy(40).answer_len(77) == 40
+        assert AnswerLenPolicy(40).answer_len(12) == 12
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_cap_below_one_rejected(self, max_len):
+        with pytest.raises(InvalidSpec, match="answer cap must be >= 1"):
+            AnswerLenPolicy(max_len)

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
 from coper.cycles import minimal_period
 from coper.dataset import (
@@ -76,7 +78,7 @@ class TestSampleCycle:
 def build_tiny(tmp_path, rule=ComposeRule.MOD_ADD, counts=None, seed=7, **kw):
     counts = counts or {Split.TRAIN: 30, Split.TEST_ID: 10, Split.TEST_HOLLOW: 10, Split.TEST_EXTRAPOLATION: 10}
     return build_dataset(rule, SMALL_POLICY, counts, seed, tmp_path,
-                         answer_policy=AnswerLenPolicy.capped(24), **kw)
+                         answer_policy=AnswerLenPolicy(24), **kw)
 
 
 class TestBuildDataset:
@@ -137,7 +139,28 @@ class TestBuildDataset:
     def test_manifest_round_trip(self, tmp_path):
         manifest = build_tiny(tmp_path)
         loaded = DatasetManifest.load(tmp_path / "manifest.json")
+        assert loaded == manifest
         assert loaded.to_dict() == manifest.to_dict()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["task_params"].update(prompt_len=3),
+         "'task_params' lacks fields [] and has unknown fields ['prompt_len']"),
+        (lambda m: m["policy"].update(hollw=[]),
+         "'policy' lacks fields [] and has unknown fields ['hollw']"),
+        (lambda m: m.pop("answer_len_policy"), "manifest lacks sections ['answer_len_policy']"),
+        (lambda m: m["answer_len_policy"].update(max_len=0),
+         "'answer_len_policy' is invalid: answer cap must be >= 1"),
+    ], ids=["unknown_task_param", "unknown_policy_field", "missing_answer_policy", "zero_answer_cap"])
+    def test_bad_manifest_section_rejected(self, tmp_path, capsys, edit, message):
+        build_tiny(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            verify_dataset(tmp_path)
+        assert main(["verify", "--data", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSingleSequenceBuilds:

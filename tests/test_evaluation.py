@@ -31,7 +31,7 @@ def data(tmp_path_factory):
     build_dataset(
         ComposeRule.MOD_ADD, POLICY,
         {Split.TRAIN: 4, Split.TEST_ID: 12, Split.TEST_HOLLOW: 12, Split.TEST_EXTRAPOLATION: 12},
-        23, path, answer_policy=AnswerLenPolicy.capped(12))
+        23, path, answer_policy=AnswerLenPolicy(12))
     return path
 
 

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,14 @@ class TestConfig:
 
     def test_round_trip(self):
         cfg = ModelConfig(pe_kind=PeKind.SINPE, n_layers=3)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_pe_kind_given_as_its_string(self):
+        tokens = np.arange(10, dtype=np.int64).reshape(1, 10)
+        cfg = replace(TINY, pe_kind="sinpe")
+        assert cfg.pe_kind is PeKind.SINPE
+        assert np.array_equal(Transformer(cfg).forward(tokens).data,
+                              Transformer(replace(TINY, pe_kind=PeKind.SINPE)).forward(tokens).data)
 
 
 def rotate(x: np.ndarray, positions, d_head: int, base: float = 10000.0) -> np.ndarray:
@@ -445,6 +452,24 @@ class TestCheckpoint:
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path),
                      "--out", str(tmp_path / "e")]) == 1
         assert "error: checkpoint config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["tensors"][0].pop("offset"), "lacks name, shape or offset"),
+        (lambda m: m["tensors"][0].pop("name"), "lacks name, shape or offset"),
+        (lambda m: m["tensors"].__setitem__(0, 3), "lacks name, shape or offset"),
+        (lambda m: m["tensors"][0].update(offset=-4), "is malformed"),
+        (lambda m: m["tensors"][0].update(shape=[16, "16"]), "is malformed"),
+        (lambda m: m["tensors"][0].update(shape=16), "is malformed"),
+        (lambda m: m.update(tensors={}), "tensor index is not a list"),
+    ], ids=["no_offset", "no_name", "not_an_object", "negative_offset", "string_dim",
+            "shape_not_a_list", "index_not_a_list"])
+    def test_malformed_tensor_entry_rejected(self, tmp_path, capsys, edit, message):
+        bad = self.edited(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bad)
+        assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["config", "step", "master_seed", "tensors"])
     def test_missing_manifest_key_rejected(self, tmp_path, key):

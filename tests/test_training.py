@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ TINY_MODEL = ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_mult=2, max_seq_
 POLICY = SplitPolicy(2, 4, 2, 5, hollow=frozenset({(3, 3)}))
 # A `coper run-experiment --config` file for the same grid, model and sizes.
 TINY_EXPERIMENT = {
-    "policy": POLICY.to_dict(),
+    "policy": asdict(POLICY),
     "answer_cap": 12,
     "counts": {"train": 24, "test_id": 8, "test_hollow": 8, "test_extrapolation": 8},
     "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_mult": 2, "max_seq_len": 64},
@@ -40,7 +40,7 @@ def tiny_data(tmp_path_factory):
     build_dataset(
         ComposeRule.MOD_ADD, POLICY,
         {Split.TRAIN: 24, Split.TEST_ID: 8, Split.TEST_HOLLOW: 8, Split.TEST_EXTRAPOLATION: 8},
-        11, path, answer_policy=AnswerLenPolicy.capped(12))
+        11, path, answer_policy=AnswerLenPolicy(12))
     return path
 
 
@@ -58,6 +58,14 @@ class TestEncoding:
         active = labels[0][mask[0] == 1.0].tolist()
         assert active == [4, 6]
         assert inputs.shape[1] == labels.shape[1] == mask.shape[1]
+
+    def test_loss_region_given_as_its_string(self):
+        rec = SampleRecord("12+34=", "46", 2, 2, Split.TRAIN, ComposeRule.MOD_ADD, 0)
+        region = TrainConfig(loss_region="answer_only").loss_region
+        assert region is LossRegion.ANSWER_ONLY
+        _, _, mask = batch_arrays([encode_record(rec)], region)
+        _, _, expect = batch_arrays([encode_record(rec)], LossRegion.ANSWER_ONLY)
+        assert np.array_equal(mask, expect)
 
     def test_full_sequence_mask_covers_real_tokens(self):
         rec = SampleRecord("12+34=", "46", 2, 2, Split.TRAIN, ComposeRule.MOD_ADD, 0)
@@ -90,7 +98,7 @@ class TestEncoding:
 class TestTraining:
     def test_overfits_eight_samples(self, tmp_path):
         build_dataset(ComposeRule.MOD_ADD, POLICY, {Split.TRAIN: 8}, 5, tmp_path,
-                      answer_policy=AnswerLenPolicy.capped(12))
+                      answer_policy=AnswerLenPolicy(12))
         model = Transformer(TINY_MODEL)
         config = TrainConfig(batch_size=8, learning_rate=3e-3, weight_decay=0.0,
                              epochs=200, eval_every=200, seed=0)
