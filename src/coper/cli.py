@@ -2,33 +2,25 @@
 one-shot run-experiment recipes.
 
 Exit codes: 0 success, 1 validation problem (bad flags or config fields,
-unknown profile, failed dataset verification), 2 runtime failure.  Heavy
-imports happen inside the commands so COPER_THREADS can cap BLAS threads
-before numpy loads.
+unknown profile, failed dataset verification), 2 runtime failure.  The
+COPER_THREADS cap is applied when the `coper` package is imported, before
+this module runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from .autodiff import ShapeError
+
 
 class ValidationFailure(Exception):
     """Maps to exit code 1."""
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("COPER_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -109,10 +101,20 @@ def _resolve(args: argparse.Namespace):
             section = _config_section(getattr(settings, name), name, cfg[name])
             settings = replace(settings, **{name: section})
     if "counts" in cfg:
-        settings = replace(settings, counts={Split(k): int(v) for k, v in cfg["counts"].items()})
+        if not isinstance(cfg["counts"], dict):
+            raise ValidationFailure("config section 'counts' is not an object")
+        try:
+            counts = {Split(k): int(v) for k, v in cfg["counts"].items()}
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailure(f"config section 'counts': {exc}") from exc
+        settings = replace(settings, counts=counts)
     if "answer_cap" in cfg:
         cap = cfg["answer_cap"]
-        settings = replace(settings, answer_policy=AnswerLenPolicy(None if cap is None else int(cap)))
+        try:
+            policy = AnswerLenPolicy(None if cap is None else int(cap))
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailure(f"config section 'answer_cap': {exc}") from exc
+        settings = replace(settings, answer_policy=policy)
 
     model, train_cfg = settings.model, settings.train
     if getattr(args, "pe", None):
@@ -366,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    from .autodiff import ShapeError  # after the thread cap, since it loads numpy
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)

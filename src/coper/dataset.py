@@ -201,6 +201,19 @@ def _section(cls, name: str, d: dict):
         raise InvalidSpec(f"manifest section {name!r} is invalid: {exc}") from exc
 
 
+def _split_section(name: str, d, value_type: type) -> dict:
+    """{Split: value} for the manifest section `name`, an object from split
+    names to `value_type` values; anything else is an InvalidSpec naming it."""
+    if not isinstance(d, dict):
+        raise InvalidSpec(f"manifest section {name!r} is not an object")
+    names = {s.value for s in Split}
+    for split, value in d.items():
+        if split not in names or type(value) is not value_type:
+            raise InvalidSpec(f"manifest section {name!r} maps {split!r} to {value!r}, "
+                              f"not a split to a {value_type.__name__}")
+    return {Split(s): v for s, v in d.items()}
+
+
 @dataclass
 class DatasetManifest:
     rule: ComposeRule
@@ -248,12 +261,12 @@ class DatasetManifest:
         return cls(
             rule=ComposeRule(d["rule"]),
             policy=_section(SplitPolicy, "policy", d["policy"]) if d["policy"] is not None else None,
-            counts={Split(s): int(n) for s, n in d["counts"].items()},
+            counts=_split_section("counts", d["counts"], int),
             master_seed=int(d["master_seed"]),
             modulus=int(d["modulus"]),
             answer_policy=_section(AnswerLenPolicy, "answer_len_policy", alp),
             task_params=_section(TaskParams, "task_params", d["task_params"]),
-            files={Split(s): f for s, f in d["files"].items()},
+            files=_split_section("files", d["files"], str),
         )
 
     def save(self, path: Path) -> None:

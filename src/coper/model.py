@@ -139,7 +139,6 @@ class Transformer:
         self._rope_cos, self._rope_sin = rope_tables(
             config.d_head, config.max_seq_len, config.rope_base)
         self._sinpe = sinusoidal_table(config.max_seq_len, d) if config.pe_kind is PeKind.SINPE else None
-        self._mask_cache: dict[int, np.ndarray] = {}
 
     def parameters(self) -> dict[str, ad.Tensor]:
         """The trainable tensors (the frozen embedding is not among them)."""
@@ -153,16 +152,11 @@ class Transformer:
         self._rope_sin = self._rope_sin.astype(dtype)
         if self._sinpe is not None:
             self._sinpe = self._sinpe.astype(dtype)
-        self._mask_cache.clear()
         return self
 
     def _causal_mask(self, s: int) -> np.ndarray:
-        mask = self._mask_cache.get(s)
-        if mask is None:
-            mask = np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
-            mask = mask.astype(self.embedding.data.dtype)
-            self._mask_cache[s] = mask
-        return mask
+        mask = np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
+        return mask.astype(self.embedding.data.dtype)
 
     def forward(self, tokens: np.ndarray) -> ad.Tensor:
         """Logits of shape (batch, length, vocab) under causal masking."""

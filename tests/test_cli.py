@@ -251,6 +251,17 @@ class TestEndToEnd:
         assert code == 1
         assert f"config section '{section}'" in err and field in err
 
+    @pytest.mark.parametrize("config", [{"counts": [1, 2]}, {"counts": {"train": None}},
+                                        {"answer_cap": [3]}],
+                             ids=["counts_list", "null_count", "answer_cap_list"])
+    def test_malformed_config_value_fails_validation(self, tmp_path, capsys, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--config", str(path))
+        assert code == 1
+        assert f"config section '{next(iter(config))}'" in err
+        assert not (tmp_path / "d").exists()
+
     def test_config_section_overrides_only_the_fields_it_names(self, tmp_path, capsys):
         config = tmp_path / "partial.json"
         config.write_text(json.dumps({**MICRO_CONFIG, "policy": {"total_hi": 12},

@@ -150,7 +150,11 @@ class TestBuildDataset:
         (lambda m: m.pop("answer_len_policy"), "manifest lacks sections ['answer_len_policy']"),
         (lambda m: m["answer_len_policy"].update(max_len=0),
          "'answer_len_policy' is invalid: answer cap must be >= 1"),
-    ], ids=["unknown_task_param", "unknown_policy_field", "missing_answer_policy", "zero_answer_cap"])
+        (lambda m: m.update(counts=[1, 2]), "manifest section 'counts' is not an object"),
+        (lambda m: m["counts"].update(train=None), "manifest section 'counts' maps 'train' to None"),
+        (lambda m: m.update(files=["train.jsonl"]), "manifest section 'files' is not an object"),
+    ], ids=["unknown_task_param", "unknown_policy_field", "missing_answer_policy", "zero_answer_cap",
+            "counts_list", "null_count", "files_list"])
     def test_bad_manifest_section_rejected(self, tmp_path, capsys, edit, message):
         build_tiny(tmp_path)
         path = tmp_path / "manifest.json"
