@@ -19,7 +19,10 @@ masked softmax in place in one buffer with float64 row sums, and keeps only
 the per-row log-sum-exp; its backward recomputes each block's probabilities
 from q, k and that log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
 Keys may outnumber queries, which is how a decoding step attends over its
-key/value cache.
+key/value cache.  Given each row's extent, the real length of a right-padded
+row, a block's tile covers only the queries and keys up to the longest
+extent among its rows: real positions are unchanged, and the positions past
+it get zero output and zero gradient.
 GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
 backward.  No primitive writes into its inputs' arrays.
 """
@@ -222,7 +225,7 @@ _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              additive_mask: np.ndarray | None = None) -> Tensor:
+              additive_mask: np.ndarray | None = None, extents: np.ndarray | None = None) -> Tensor:
     """softmax(scale * q @ k^T + mask) @ v as one op.
 
     q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq,
@@ -233,6 +236,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     processed in blocks, and a per-row mask is sliced with them; the
     probabilities are never stored, only each score row's log-sum-exp, and
     backward recomputes them block by block.
+
+    `extents`, an (N,) int array, marks row i's queries and keys at
+    positions >= extents[i] as right padding; it needs Sq == Sk and a shared
+    mask.  Each block then works only on the [:e, :e] corner of its score
+    tile, e being the largest extent among its rows.  Under a causal mask
+    every real position's output and gradients are unchanged; output rows
+    past e are zero, and so are dq, dk and dv there.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2]
@@ -243,56 +253,73 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     per_row = additive_mask is not None and additive_mask.ndim == 3
     if per_row and additive_mask.shape != (n, sq, sk):
         raise ShapeError(f"per-row mask {additive_mask.shape} does not match scores {(n, sq, sk)}")
+    if extents is not None:
+        extents = np.asarray(extents)
+        if per_row or sk != sq:
+            raise ShapeError(f"extents need square scores and a shared mask, got q {qd.shape}, "
+                             f"k {kd.shape}" + (" and a per-row mask" if per_row else ""))
+        if extents.shape != (n,) or extents.min() < 1 or extents.max() > sq:
+            raise ShapeError(f"extents must be {n} values in [1, {sq}]")
+    shared = None if additive_mask is None or per_row else np.broadcast_to(additive_mask, (sq, sk))
     dtype = qd.dtype
     scale = float(scale)
     step = max(1, _ATTENTION_BLOCK_BYTES // (sq * sk * dtype.itemsize))
-    buf = np.empty((min(step, n), sq, sk), dtype=dtype)
+    # (lo, hi, eq, ek): each block's rows and the query and key extents of its
+    # tile; without `extents` these are Sq and Sk, with them Sq == Sk.
+    blocks = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        eq = sq if extents is None else int(extents[lo:hi].max())
+        blocks.append((lo, hi, eq, eq + sk - sq))
+    buf = np.empty(min(step, n) * sq * sk, dtype=dtype)
     out = np.empty((n, sq, vd.shape[-1]), dtype=dtype)
     lse = np.empty((n, sq, 1), dtype=dtype)
 
-    def scores(lo, hi):
-        sc = buf[:hi - lo]
-        np.matmul(qd[lo:hi], _swap_last(kd[lo:hi]), out=sc)
+    def scores(lo, hi, eq, ek):
+        sc = buf[:(hi - lo) * eq * ek].reshape(hi - lo, eq, ek)
+        np.matmul(qd[lo:hi, :eq], _swap_last(kd[lo:hi, :ek]), out=sc)
         sc *= scale
         if per_row:
             sc += additive_mask[lo:hi]
-        elif additive_mask is not None:
-            sc += additive_mask
+        elif shared is not None:
+            sc += shared[:eq, :ek]
         return sc
 
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        p = scores(lo, hi)
+    for lo, hi, eq, ek in blocks:
+        p = scores(lo, hi, eq, ek)
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
         denom = p.sum(axis=-1, keepdims=True, dtype=np.float64)  # 64-bit accumulation
         p *= np.asarray(1.0 / denom, dtype=dtype)
-        np.matmul(p, vd[lo:hi], out=out[lo:hi])
-        lse[lo:hi] = m + np.log(denom)
+        np.matmul(p, vd[lo:hi, :ek], out=out[lo:hi, :eq])
+        out[lo:hi, eq:] = 0.0
+        lse[lo:hi, :eq] = m + np.log(denom)
 
     def backward(g):
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
         dbuf = np.empty_like(buf)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            p = scores(lo, hi)
-            p -= lse[lo:hi]
+        for lo, hi, eq, ek in blocks:
+            p = scores(lo, hi, eq, ek)
+            p -= lse[lo:hi, :eq]
             np.exp(p, out=p)
-            gb = g[lo:hi]
+            gb = g[lo:hi, :eq]
             if dv is not None:
-                np.matmul(_swap_last(p), gb, out=dv[lo:hi])
+                np.matmul(_swap_last(p), gb, out=dv[lo:hi, :ek])
+                dv[lo:hi, ek:] = 0.0
             # dS = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(dO * O).
-            ds = dbuf[:hi - lo]
-            np.matmul(gb, _swap_last(vd[lo:hi]), out=ds)
-            ds -= (gb * out[lo:hi]).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            ds = dbuf[:p.size].reshape(p.shape)
+            np.matmul(gb, _swap_last(vd[lo:hi, :ek]), out=ds)
+            ds -= (gb * out[lo:hi, :eq]).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
             ds *= p
             if dq is not None:
-                np.matmul(ds, kd[lo:hi], out=dq[lo:hi])
+                np.matmul(ds, kd[lo:hi, :ek], out=dq[lo:hi, :eq])
+                dq[lo:hi, eq:] = 0.0
             if dk is not None:
-                np.matmul(_swap_last(ds), qd[lo:hi], out=dk[lo:hi])
+                np.matmul(_swap_last(ds), qd[lo:hi, :eq], out=dk[lo:hi, :ek])
+                dk[lo:hi, ek:] = 0.0
         for d in (dq, dk):
             if d is not None:
                 d *= scale

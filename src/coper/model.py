@@ -158,11 +158,19 @@ class Transformer:
         mask = np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
         return mask.astype(self.embedding.data.dtype)
 
-    def forward(self, tokens: np.ndarray) -> ad.Tensor:
-        """Logits of shape (batch, length, vocab) under causal masking."""
+    def forward(self, tokens: np.ndarray, extents: np.ndarray | None = None) -> ad.Tensor:
+        """Logits of shape (batch, length, vocab) under causal masking.
+
+        `extents` (batch,) marks row i's tokens from extents[i] on as right
+        padding, which attention skips (see `autodiff.attention`).  Logits
+        at real positions, and the gradients of a loss that reads only them,
+        are unchanged; attention's output and gradient at a padded position
+        past its block's longest extent are zero, so logits there carry no
+        meaning.
+        """
         tokens = self._checked(tokens)
         s = tokens.shape[1]
-        return self._run(tokens, slice(0, s), self._causal_mask(s))
+        return self._run(tokens, slice(0, s), self._causal_mask(s), None, extents)
 
     def _checked(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
@@ -172,7 +180,8 @@ class Transformer:
             raise LengthError(f"length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
         return tokens
 
-    def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None) -> ad.Tensor:
+    def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None,
+             extents: np.ndarray | None = None) -> ad.Tensor:
         """The layer stack over `tokens` (B, S) at absolute `positions`.
 
         `positions` is a slice shared by every row, or a (B, S) array of
@@ -182,7 +191,9 @@ class Transformer:
         each layer's own rotated keys and values, so a full forward fills it
         without a copy.  Given full, each layer first writes its rotated
         keys and values at `positions`, and the queries then attend over
-        cache slots [0, mask.shape[-1]).
+        cache slots [0, mask.shape[-1]).  `extents` (B,) is each row's real
+        length under shared positions (see `forward`); attention takes it
+        once per head.
         """
         cfg = self.config
         h = cfg.n_heads
@@ -193,6 +204,7 @@ class Transformer:
             head_pos = np.repeat(positions, h, axis=0)
             slots = (np.arange(head_pos.shape[0])[:, None], head_pos)
         cos, sin = self._rope_cos[head_pos], self._rope_sin[head_pos]
+        head_extents = None if extents is None else np.repeat(extents, h)
 
         x = ad.embedding(self.embedding, tokens)
         if cfg.pe_kind is PeKind.SINPE:
@@ -214,7 +226,7 @@ class Transformer:
                 keys[slots], values[slots] = k.data, v.data
                 width = mask.shape[-1]
                 k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
-            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask), h)
+            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents), h)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
@@ -228,9 +240,13 @@ class Transformer:
         `tokens` (B, S) holds right-padded rows.  Row i's prompt is
         tokens[i, :starts[i]], and its answer is `lengths[i]` >= 1 tokens
         long; prompt plus answer must fit max_seq_len, and S must hold every
-        row's starts[i] + lengths[i] - 1 slots.  One causal forward over all
-        of `tokens` gives the (B, S, vocab) logits, and its keys and values
-        become the cache.  Each row's first answer token is the argmax at
+        row's starts[i] + lengths[i] - 1 slots.  One causal forward over
+        `tokens` gives the (B, S, vocab) logits, and its keys and values
+        become the cache.  It takes starts[i] + lengths[i] - 1 as row i's
+        extent (see `forward`): the logits are those of the untrimmed forward
+        on each row's first extent slots, and the slots past it, which
+        decoding overwrites before reading, are attention's padding.  Each
+        row's first answer token is the argmax at
         starts[i] - 1.  Every later step feeds each row's newest token at
         its next absolute position, overwriting that slot, and attends over
         the row's slots up to it, so whatever `tokens` holds after a prompt
@@ -254,7 +270,7 @@ class Transformer:
         if last.max() >= s:
             raise LengthError(f"tokens of length {s} cannot hold slot {last.max()}")
         cache = []
-        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache).data
+        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache, last + 1).data
         answers = np.zeros((b, int(lengths.max())), dtype=np.int64)
         answers[:, 0] = logits[np.arange(b), starts - 1].argmax(axis=-1)
         dtype = self.embedding.data.dtype

@@ -93,6 +93,11 @@ def batch_arrays(samples: list[EncodedSample], loss_region: LossRegion):
     return tokens[:, :-1], tokens[:, 1:].astype(np.int64), mask
 
 
+def _extents(samples: list[EncodedSample]) -> np.ndarray:
+    """Each sample's real length in its `batch_arrays` inputs, for `Transformer.forward`."""
+    return np.array([len(s.tokens) - 1 for s in samples])
+
+
 def _epoch_batches(samples, batch_size: int, rng: np.random.Generator):
     """Shuffle, then stable-sort by length so batches pad minimally."""
     n = len(samples)
@@ -234,8 +239,9 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion)
     """
     score = TokenScore()
     for batch in length_batches(samples):
-        inputs, labels, mask = batch_arrays([samples[i] for i in batch], loss_region)
-        score.add(model.forward(inputs).data, labels, mask)
+        rows = [samples[i] for i in batch]
+        inputs, labels, mask = batch_arrays(rows, loss_region)
+        score.add(model.forward(inputs, _extents(rows)).data, labels, mask)
     return score.result()
 
 
@@ -305,7 +311,7 @@ def train(
         for batch in _epoch_batches(train_samples, config.batch_size, rng):
             inputs, labels, mask = batch_arrays(batch, config.loss_region)
             with ad.Tape() as tape:
-                loss = ad.cross_entropy(model.forward(inputs), labels, mask)
+                loss = ad.cross_entropy(model.forward(inputs, _extents(batch)), labels, mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise DivergenceError(epoch, last_good, "loss")

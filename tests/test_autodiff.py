@@ -216,6 +216,15 @@ class TestGradCheckPrimitives:
                                      np.ones((3, 2), int), np.ones((3, 2)))
         self.check(f, [q, k, v])
 
+    def test_attention_with_extents(self):
+        # The loss covers every position, so the check also sees that rows
+        # past a block's extent are constant zero and padded keys are unseen.
+        rng = np.random.default_rng(22)
+        q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, causal_mask(5), np.array([2, 5, 3])),
+                                     np.ones((3, 5), int), np.ones((3, 5)))
+        self.check(f, [q, k, v])
+
     def test_rmsnorm(self):
         rng = np.random.default_rng(18)
         a, g, w = rand64(rng, 2, 3, 6), t64(np.ones(6)), rand64(rng, 6, 4)
@@ -273,12 +282,13 @@ def test_forward_determinism():
     assert np.array_equal(f(), f())
 
 
-def _attention_run(q, k, v, mask):
+def _attention_run(q, k, v, mask, extents=None, loss_mask=None):
     for t in (q, k, v):
         t.grad = None
     with ad.Tape() as tape:
-        out = ad.attention(q, k, v, 0.35, mask)
-        loss = ad.cross_entropy(out, np.zeros(out.shape[:2], int), np.ones(out.shape[:2]))
+        out = ad.attention(q, k, v, 0.35, mask, extents)
+        loss_mask = np.ones(out.shape[:2]) if loss_mask is None else loss_mask
+        loss = ad.cross_entropy(out, np.zeros(out.shape[:2], int), loss_mask)
     tape.backward(loss)
     return [out.data, q.grad, k.grad, v.grad]
 
@@ -314,6 +324,43 @@ def test_attention_over_longer_keys_matches_float64_reference(monkeypatch):
         monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_rows * sq * sk * 4)
         out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 0.35, mask.astype(np.float32))
         np.testing.assert_allclose(out.data, expect, rtol=1e-5, atol=1e-6)
+
+
+def test_attention_extents_leave_every_real_position_unchanged(monkeypatch):
+    rng = np.random.default_rng(34)
+    n, s = 7, 11
+    q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = causal_mask(s).astype(np.float32)
+    extents = np.array([3, 11, 5, 2, 9, 7, 4])
+    real = np.arange(s)[None, :] < extents[:, None]
+    # The loss reads only real positions, so the untrimmed gradients are zero on padding.
+    whole = _attention_run(q, k, v, mask, loss_mask=real)
+    # Blocks of 3, 3 and 1 rows: the first two straddle rows of different extents.
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
+    trimmed = _attention_run(q, k, v, mask, extents, loss_mask=real)
+    np.testing.assert_allclose(trimmed[0][real], whole[0][real], rtol=1e-6, atol=1e-7)
+    for a, b in zip(whole[1:], trimmed[1:]):
+        np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
+    for d in trimmed[1:]:
+        assert not d[~real].any()
+    # With one row per block, each block's extent is its row's: padded output rows are zero.
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", s * s * 4)
+    alone = _attention_run(q, k, v, mask, extents)
+    assert not alone[0][~real].any()
+    np.testing.assert_allclose(alone[0][real], whole[0][real], rtol=1e-6, atol=1e-7)
+
+
+def test_attention_rejects_a_bad_extent_unequal_lengths_or_a_row_mask():
+    q = ad.Tensor(np.zeros((2, 3, 4)))
+    for bad in ([0, 3], [1, 4], [3], [[1, 2]]):
+        with pytest.raises(ad.ShapeError, match="extents"):
+            ad.attention(q, q, q, 1.0, None, np.array(bad))
+    longer = ad.Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ad.ShapeError, match="extents"):
+        ad.attention(q, longer, longer, 1.0, None, np.array([3, 3]))
+    with pytest.raises(ad.ShapeError, match="extents"):
+        ad.attention(q, q, q, 1.0, np.zeros((2, 3, 3)), np.array([3, 3]))
 
 
 def test_attention_rejects_fewer_keys_or_a_misshapen_row_mask():

@@ -209,22 +209,28 @@ class TestFusedEvaluate:
             assert len({len(r.target_text) for r in records[split]}) > 1
         monkeypatch.setattr(training, "TF_BATCH_SIZE", 5)
         full_forwards = []
+        prefill_extents = []
         run = Transformer._run
 
-        def counting(self, tokens, positions, *args):
+        def counting(self, tokens, positions, mask, cache=None, extents=None):
             if isinstance(positions, slice):
                 full_forwards.append(tokens.shape)
-            return run(self, tokens, positions, *args)
+                prefill_extents.append(extents.tolist())
+            return run(self, tokens, positions, mask, cache, extents)
 
         monkeypatch.setattr(Transformer, "_run", counting)
         result = evaluate(model, data)
         teacher_forced = []  # (rows, width) of each batch's [BOS] + input + target[:-1]
+        real = []  # each batch's starts + lengths - 1: the real length of every row
         for recs in records.values():
             lengths = sorted(len(r.input_text) + len(r.target_text) for r in recs)
             teacher_forced += [(len(lengths[i:i + 5]), lengths[i:i + 5][-1])
                                for i in range(0, len(lengths), 5)]
+            real += [lengths[i:i + 5] for i in range(0, len(lengths), 5)]
         assert len(teacher_forced) > len(records)
         assert full_forwards == teacher_forced
+        assert prefill_extents == real
+        assert any(len(set(batch)) > 1 for batch in real)
 
         monkeypatch.setattr(Transformer, "_run", run)
         for split, recs in records.items():

@@ -134,6 +134,22 @@ class TestForward:
         after = model.forward(permuted).data
         assert np.array_equal(base[:, :8], after[:, :8])
 
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_extents_leave_every_real_position_unchanged(self, kind, monkeypatch):
+        # Bit-identity rests on BLAS adding the trimmed products in the same
+        # order, which OpenBLAS's kernels do for 16-wide heads, as in the desk
+        # profiles, but not for 8-wide heads over 32 or more keys.
+        model = Transformer(replace(TINY, d_model=32, pe_kind=kind))
+        rng = np.random.default_rng(7)
+        extents = np.array([40, 3, 29, 1, 17])
+        tokens = rng.integers(0, 17, size=(5, 40))
+        full = model.forward(tokens).data
+        # Three (row, head) pairs per attention block: blocks straddle rows.
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * 40 * 40 * 4)
+        trimmed = model.forward(tokens, extents).data
+        for row, e in enumerate(extents):
+            assert np.array_equal(trimmed[row, :e], full[row, :e])
+
     def test_logits_shape(self):
         model = Transformer(TINY)
         out = model.forward(np.zeros((3, 9), dtype=np.int64))

@@ -204,6 +204,26 @@ class TestTraining:
         tokens = np.arange(12, dtype=np.int64).reshape(1, 12) % 17
         assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
 
+    def test_a_padded_step_with_extents_updates_bit_identically(self, tiny_data, monkeypatch):
+        samples = sorted(encode_records(load_records(tiny_data, Split.TRAIN)), key=lambda s: len(s.tokens))
+        batch = samples[::3]
+        extents = training._extents(batch)
+        assert len(set(extents.tolist())) > 1
+        inputs, labels, mask = batch_arrays(batch, LossRegion.FULL_SEQUENCE)
+        # Three (row, head) pairs per attention block: blocks straddle rows.
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * inputs.shape[1] ** 2 * 4)
+        after = []
+        for given in (None, extents):
+            model = Transformer(replace(TINY_MODEL, d_model=32))  # 16-wide heads, as in the model test
+            opt = training.AdamW(model.parameters(), TrainConfig(learning_rate=1e-2))
+            with ad.Tape() as tape:
+                loss = ad.cross_entropy(model.forward(inputs, given), labels, mask)
+            tape.backward(loss)
+            opt.step()
+            after.append({name: t.data for name, t in model.parameters().items()})
+        for name, data in after[0].items():
+            assert np.array_equal(after[1][name], data), name
+
     def test_weight_decay_is_decoupled(self):
         # With zero gradient, AdamW still shrinks weights by lr * wd * w and
         # the moment estimates stay exactly zero.
