@@ -9,6 +9,11 @@ Primitives take only the forms the model runs: `matmul` is (B, S, D) @
 (D, F), `add` broadcasts only constants, `embedding` gathers from a frozen
 table.  The backward walk adds each leaf's gradient straight into .grad.
 
+The model runs its per-token ops on a packed (1, T, D) tensor of the T real
+tokens of a right-padded batch.  `split_heads` and `merge_heads` are the
+only moves between that layout and the zero-padded (N, S, D / H) head
+tiles that attention works on: a scatter and a gather by a per-token index.
+
 Gradient flow is single-threaded per tape; reductions that feed losses
 (softmax normalizers, norms, cross-entropy) accumulate in float64 while the
 bulk matmuls stay in the array dtype so BLAS runs at full speed.
@@ -402,30 +407,54 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
     return _wrap(np.float64(loss), (logits,), backward)
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(B, S, D) -> (B * H, S, D / H), keeping head blocks contiguous."""
-    b, s, d = x.data.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-    data = x.data.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3).reshape(b * n_heads, s, dh)
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as a 1-D view, one opaque element per row.
+
+    np.put moves such elements as whole rows, at about half the cost of
+    assigning the rows through an integer index.
+    """
+    return a.reshape(-1).view(f"V{a.shape[1] * a.itemsize}")
+
+
+def split_heads(x: Tensor, slots: np.ndarray, tile: tuple[int, int]) -> Tensor:
+    """Packed (1, T, D) tokens -> zero-padded (N, S, D / H) head tiles.
+
+    `slots` (T, H) holds, for token t and head j, the flat index n * S + s
+    of the tile row n and slot s that receive features [j * D / H, (j + 1)
+    * D / H) of token t; `tile` is (N, S).  Slots that no token names stay
+    zero.  With one head it scatters packed tokens back to (B, S, D) rows.
+    """
+    t, h = slots.shape
+    n, s = tile
+    xd = x.data
+    if xd.shape[:2] != (1, t) or xd.shape[2] % h != 0:
+        raise ShapeError(f"cannot split {xd.shape} into {h} heads of {t} tokens")
+    dh = xd.shape[2] // h
+    flat = slots.reshape(-1)
+    data = np.zeros((n * s, dh), dtype=xd.dtype)
+    np.put(_rows(data), flat, _rows(np.ascontiguousarray(xd).reshape(t * h, dh)))
 
     def backward(g):
-        return (g.reshape(b, n_heads, s, dh).transpose(0, 2, 1, 3).reshape(b, s, d),)
+        return (np.take(g.reshape(n * s, dh), flat, axis=0).reshape(1, t, h * dh),)
 
-    return _wrap(data, (x,), backward)
+    return _wrap(data.reshape(n, s, dh), (x,), backward)
 
 
-def merge_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(B * H, S, D / H) -> (B, S, D); inverse of split_heads."""
-    bh, s, dh = x.data.shape
-    if bh % n_heads != 0:
-        raise ShapeError(f"leading dim {bh} not divisible by {n_heads} heads")
-    b = bh // n_heads
-    data = x.data.reshape(b, n_heads, s, dh).transpose(0, 2, 1, 3).reshape(b, s, n_heads * dh)
+def merge_heads(x: Tensor, slots: np.ndarray) -> Tensor:
+    """(N, S, D / H) head tiles -> packed (1, T, D); inverse of split_heads.
+
+    Only the slots that `slots` names are read, so the padding of the
+    tiles never reaches the packed tokens.
+    """
+    n, s, dh = x.data.shape
+    t, h = slots.shape
+    flat = slots.reshape(-1)
+    data = np.take(x.data.reshape(n * s, dh), flat, axis=0).reshape(1, t, h * dh)
 
     def backward(g):
-        return (g.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3).reshape(bh, s, dh),)
+        gx = np.zeros((n * s, dh), dtype=g.dtype)
+        np.put(_rows(gx), flat, _rows(np.ascontiguousarray(g).reshape(t * h, dh)))
+        return (gx.reshape(n, s, dh),)
 
     return _wrap(data, (x,), backward)
 
@@ -433,9 +462,10 @@ def merge_heads(x: Tensor, n_heads: int) -> Tensor:
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate adjacent coordinate pairs by position-dependent angles.
 
-    cos/sin have shape (S, d/2) and broadcast over the leading batch axis;
-    the backward rotates the gradient by the opposite angles (rotations are
-    orthogonal, so no extra terms appear).
+    cos/sin broadcast against the pairs x[..., 0::2].  The model passes one
+    (T, D/2) row per packed token, tiled over heads; no pair straddles two
+    heads because D / H is even.  The backward rotates the gradient by the
+    opposite angles (rotations are orthogonal, so no extra terms appear).
     """
     xd = x.data
     if xd.shape[-1] % 2 != 0:

@@ -9,13 +9,15 @@ not at all (NONE).
 
 `forward` and greedy decoding run the same layer code, which takes absolute
 positions, shared by the batch or given per row, and an optional key/value
-cache.  `decode` is the one greedy decoder.  It runs one causal forward over
-right-padded rows whose prompts end at per-row start positions; that
-forward's logits serve any teacher-forced scoring of the rows, and its own
-per-layer keys and values become the cache.  It then feeds one token per
-row per step at that row's own position and attends over the row's slots up
-to it, so every row sees exactly the positions it would see decoded alone.
-`generate_greedy` right-pads prompts and calls it.
+cache.  That code packs the real tokens of right-padded rows into one
+sequence for every per-token op; only attention and the cache see the
+padded (row, slot) layout.  `decode` is the one greedy decoder.  It runs
+one causal forward over right-padded rows whose prompts end at per-row
+start positions; that forward's logits serve any teacher-forced scoring of
+the rows, and its own per-layer keys and values become the cache.  It then
+feeds one token per row per step at that row's own position and attends
+over the row's slots up to it, so every row sees exactly the positions it
+would see decoded alone.  `generate_greedy` right-pads prompts and calls it.
 """
 
 from __future__ import annotations
@@ -136,8 +138,10 @@ class Transformer:
         self.params["final_norm"] = ad.Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
         self.params["head"] = init((d, config.vocab_size), d)
 
-        self._rope_cos, self._rope_sin = rope_tables(
-            config.d_head, config.max_seq_len, config.rope_base)
+        # Rotary tables tiled over heads: one (max_seq_len, d_model / 2) row
+        # per position rotates a token's packed queries or keys in one op.
+        self._rope_cos, self._rope_sin = (np.tile(t, (1, config.n_heads)) for t in rope_tables(
+            config.d_head, config.max_seq_len, config.rope_base))
         self._sinpe = sinusoidal_table(config.max_seq_len, d) if config.pe_kind is PeKind.SINPE else None
 
     def parameters(self) -> dict[str, ad.Tensor]:
@@ -162,14 +166,22 @@ class Transformer:
         """Logits of shape (batch, length, vocab) under causal masking.
 
         `extents` (batch,) marks row i's tokens from extents[i] on as right
-        padding, which attention skips (see `autodiff.attention`).  Logits
-        at real positions, and the gradients of a loss that reads only them,
-        are unchanged; attention's output and gradient at a padded position
-        past its block's longest extent are zero, so logits there carry no
-        meaning.
+        padding; each must be in [1, length].  Every per-token op runs only
+        on the real tokens, and attention skips the padding too (see
+        `autodiff.attention`).  Logits at real positions are those of the
+        forward without extents up to float rounding, and do not depend on
+        how much padding follows or what it holds; logits at padded
+        positions are zero and carry no meaning.
         """
         tokens = self._checked(tokens)
-        s = tokens.shape[1]
+        b, s = tokens.shape
+        if extents is not None:
+            extents = np.asarray(extents)
+            if extents.shape != (b,):
+                raise LengthError(f"extents must have shape ({b},), got {extents.shape}")
+            bad = np.flatnonzero((extents < 1) | (extents > s))
+            if bad.size:
+                raise LengthError(f"extent {extents[bad[0]]} of row {bad[0]} is outside [1, {s}]")
         return self._run(tokens, slice(0, s), self._causal_mask(s), None, extents)
 
     def _checked(self, tokens) -> np.ndarray:
@@ -185,54 +197,69 @@ class Transformer:
         """The layer stack over `tokens` (B, S) at absolute `positions`.
 
         `positions` is a slice shared by every row, or a (B, S) array of
-        per-row positions.  Without a cache, queries attend to the keys of
-        `tokens` themselves.  `cache` is a list of per-layer (keys, values)
-        arrays of shape (B * H, slots, d_head).  Given empty, it receives
-        each layer's own rotated keys and values, so a full forward fills it
-        without a copy.  Given full, each layer first writes its rotated
-        keys and values at `positions`, and the queries then attend over
-        cache slots [0, mask.shape[-1]).  `extents` (B,) is each row's real
-        length under shared positions (see `forward`); attention takes it
-        once per head.
+        per-row positions.  `extents` (B,) is each row's real length (see
+        `forward`); None means every slot is real.  The T real tokens are
+        packed, row by row, into one (1, T, D) tensor on which the
+        embedding, the position table, every norm, projection, GELU, rope
+        and the head run.  `split_heads` scatters the queries, keys and
+        values into zero-padded (B * H, S, d_head) tiles for attention and
+        the cache, `merge_heads` gathers attention's output back, and a
+        one-head split returns (B, S, vocab) logits, zero at padding.
+        Without a cache, queries attend to the keys of `tokens` themselves.
+        `cache` is a list of per-layer (keys, values) arrays of shape
+        (B * H, slots, d_head).  Given empty, it receives each layer's own
+        rotated key and value tiles, so a full forward fills it without a
+        copy.  Given full, each layer first writes its rotated keys and
+        values at `positions`, and the queries then attend over cache slots
+        [0, mask.shape[-1]).
         """
         cfg = self.config
         h = cfg.n_heads
+        b, s = tokens.shape
         inv_sqrt = 1.0 / np.sqrt(cfg.d_head)
         if isinstance(positions, slice):
-            head_pos, slots = positions, (slice(None), positions)
-        else:  # per-row positions: one copy per (row, head) pair of split_heads
-            head_pos = np.repeat(positions, h, axis=0)
-            slots = (np.arange(head_pos.shape[0])[:, None], head_pos)
-        cos, sin = self._rope_cos[head_pos], self._rope_sin[head_pos]
+            positions = np.tile(np.arange(cfg.max_seq_len)[positions], (b, 1))
+        # The packing: row and slot of each real token, and for each of its
+        # heads the flat (row * H + head) * S + slot index into the tiles.
+        lengths = np.full(b, s) if extents is None else extents
+        flat = np.flatnonzero(np.arange(s) < lengths[:, None])
+        rows, cols = np.divmod(flat, s)
+        slots = ((rows * h)[:, None] + np.arange(h)) * s + cols[:, None]
+        tile = (b * h, s)
+        pos = np.take(positions, flat)
+        if cfg.pe_kind is PeKind.ROPE:
+            cos, sin = np.take(self._rope_cos, pos, axis=0), np.take(self._rope_sin, pos, axis=0)
         head_extents = None if extents is None else np.repeat(extents, h)
+        if cache:  # each layer writes its keys and values at `positions`
+            written = (np.arange(b * h)[:, None], np.repeat(positions, h, axis=0))
 
-        x = ad.embedding(self.embedding, tokens)
+        x = ad.embedding(self.embedding, np.take(tokens, flat)[None])
         if cfg.pe_kind is PeKind.SINPE:
-            x = ad.add(x, ad.Tensor(self._sinpe[positions]))
+            x = ad.add(x, ad.Tensor(np.take(self._sinpe, pos, axis=0)))
         for layer in range(cfg.n_layers):
             p = self.params
             pre = f"layers.{layer}."
             hn = ad.rmsnorm(x, p[pre + "attn_norm"])
-            q = ad.split_heads(ad.matmul(hn, p[pre + "wq"]), h)
-            k = ad.split_heads(ad.matmul(hn, p[pre + "wk"]), h)
-            v = ad.split_heads(ad.matmul(hn, p[pre + "wv"]), h)
+            q, k = ad.matmul(hn, p[pre + "wq"]), ad.matmul(hn, p[pre + "wk"])
             if cfg.pe_kind is PeKind.ROPE:
-                q = ad.rope_rotate(q, cos, sin)
-                k = ad.rope_rotate(k, cos, sin)
+                q, k = ad.rope_rotate(q, cos, sin), ad.rope_rotate(k, cos, sin)
+            q, k = ad.split_heads(q, slots, tile), ad.split_heads(k, slots, tile)
+            v = ad.split_heads(ad.matmul(hn, p[pre + "wv"]), slots, tile)
             if cache is not None and len(cache) == layer:
                 cache.append((k.data, v.data))
             elif cache is not None:
                 keys, values = cache[layer]
-                keys[slots], values[slots] = k.data, v.data
+                keys[written], values[written] = k.data, v.data
                 width = mask.shape[-1]
                 k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
-            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents), h)
+            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents), slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
             x = ad.add(x, f)
         x = ad.rmsnorm(x, self.params["final_norm"])
-        return ad.matmul(x, self.params["head"])
+        # A one-head split puts each token's logits back at its (row, slot).
+        return ad.split_heads(ad.matmul(x, self.params["head"]), flat[:, None], (b, s))
 
     def decode(self, tokens, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
         """One forward's logits and each row's greedy answer: (logits, answers).
@@ -243,11 +270,10 @@ class Transformer:
         row's starts[i] + lengths[i] - 1 slots.  One causal forward over
         `tokens` gives the (B, S, vocab) logits, and its keys and values
         become the cache.  It takes starts[i] + lengths[i] - 1 as row i's
-        extent (see `forward`): the logits are those of the untrimmed forward
-        on each row's first extent slots, and the slots past it, which
-        decoding overwrites before reading, are attention's padding.  Each
-        row's first answer token is the argmax at
-        starts[i] - 1.  Every later step feeds each row's newest token at
+        extent: the logits are those of `forward(tokens, starts + lengths -
+        1)`, zero past each row's extent, and the cache slots past it, which
+        decoding overwrites before reading, are zero padding.  Each row's
+        first answer token is the argmax at starts[i] - 1.  Every later step feeds each row's newest token at
         its next absolute position, overwriting that slot, and attends over
         the row's slots up to it, so whatever `tokens` holds after a prompt
         is never seen.  A step runs only the span of rows from the first to

@@ -148,10 +148,26 @@ class TestForwardSemantics:
             ad.embedding(ad.Tensor(table, requires_grad=True), ids)
 
     def test_head_split_merge_round_trip(self):
+        # Rows of 3 and 1 real tokens out of 3 slots, packed, split into 4 heads.
         rng = np.random.default_rng(2)
-        x = ad.Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
-        y = ad.merge_heads(ad.split_heads(x, 4), 4)
-        assert np.array_equal(y.data, x.data)
+        rows, cols = np.array([0, 0, 0, 1]), np.array([0, 1, 2, 0])
+        slots = ((rows * 4)[:, None] + np.arange(4)) * 3 + cols[:, None]
+        x = ad.Tensor(rng.standard_normal((1, 4, 8)).astype(np.float32))
+        tiles = ad.split_heads(x, slots, (8, 3))
+        assert tiles.shape == (8, 3, 2)
+        for t, (row, col) in enumerate(zip(rows, cols)):
+            for head in range(4):
+                assert np.array_equal(tiles.data[row * 4 + head, col], x.data[0, t, 2 * head:2 * head + 2])
+        assert not tiles.data[4:, 1:].any()
+        assert np.array_equal(ad.merge_heads(tiles, slots).data, x.data)
+        with pytest.raises(ad.ShapeError):
+            ad.split_heads(ad.Tensor(np.zeros((2, 2, 8))), slots, (8, 3))
+        # With every slot real the tiles are the (B, S, D) -> (B * H, S, D / H) head transpose.
+        full = rng.standard_normal((2, 3, 8)).astype(np.float32)
+        rows, cols = np.divmod(np.arange(6), 3)
+        slots = ((rows * 4)[:, None] + np.arange(4)) * 3 + cols[:, None]
+        tiles = ad.split_heads(ad.Tensor(full.reshape(1, 6, 8)), slots, (8, 3))
+        assert np.array_equal(tiles.data, full.reshape(2, 3, 4, 2).transpose(0, 2, 1, 3).reshape(8, 3, 2))
 
     def test_rope_preserves_norm(self):
         rng = np.random.default_rng(3)
@@ -233,19 +249,23 @@ class TestGradCheckPrimitives:
         self.check(f, [a, g, w])
 
     def test_transpose_reshape_heads_rope(self):
+        # The model's packed chain: rope on packed tokens, split into padded
+        # head tiles, attention over real extents, merge back to the tokens.
         rng = np.random.default_rng(20)
         from coper.model import rope_tables
-        cos, sin = rope_tables(4, 3, 100.0)
-        a = rand64(rng, 2, 3, 8)
+        cos, sin = (np.tile(t.astype(np.float64), (1, 2)) for t in rope_tables(4, 3, 100.0))
+        rows, cols = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 2, 0, 1])  # extents 3 and 2
+        slots = ((rows * 2)[:, None] + np.arange(2)) * 3 + cols[:, None]
+        a = rand64(rng, 1, 5, 8)
         w = rand64(rng, 4, 5)
 
         def f():
-            h = ad.split_heads(a, 2)                      # (4, 3, 4)
-            h = ad.rope_rotate(h, cos.astype(np.float64), sin.astype(np.float64))
-            o = ad.attention(h, h, h, 1.0)                # (4, 3, 4)
-            m = ad.merge_heads(o, 2)                      # (2, 3, 8)
+            r = ad.rope_rotate(a, cos[cols], sin[cols])  # (1, 5, 8)
+            h = ad.split_heads(r, slots, (4, 3))          # (4, 3, 4)
+            o = ad.attention(h, h, h, 1.0, causal_mask(3), np.array([3, 3, 2, 2]))
+            m = ad.merge_heads(o, slots)                  # (1, 5, 8)
             return ad.cross_entropy(ad.matmul(ad.matmul(m, rand_w), w),
-                                    np.ones((2, 3), int), np.ones((2, 3)))
+                                    np.ones((1, 5), int), np.ones((1, 5)))
 
         rand_w = rand64(rng, 8, 4)
         self.check(f, [a, w, rand_w])

@@ -136,19 +136,52 @@ class TestForward:
 
     @pytest.mark.parametrize("kind", list(PeKind))
     def test_extents_leave_every_real_position_unchanged(self, kind, monkeypatch):
-        # Bit-identity rests on BLAS adding the trimmed products in the same
-        # order, which OpenBLAS's kernels do for 16-wide heads, as in the desk
-        # profiles, but not for 8-wide heads over 32 or more keys.
+        # Packing runs every per-token op on the same real tokens however
+        # much padding follows them, so their logits keep every bit.  Against
+        # the forward without extents, whose GEMMs have more rows, they agree
+        # only to rounding: OpenBLAS's row results depend on the row count.
+        # Attention's trimmed tiles stay bit-identical for 16-wide heads, as
+        # in the desk profiles, but not for 8-wide heads over 32 or more keys.
         model = Transformer(replace(TINY, d_model=32, pe_kind=kind))
         rng = np.random.default_rng(7)
         extents = np.array([40, 3, 29, 1, 17])
         tokens = rng.integers(0, 17, size=(5, 40))
-        full = model.forward(tokens).data
-        # Three (row, head) pairs per attention block: blocks straddle rows.
-        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * 40 * 40 * 4)
-        trimmed = model.forward(tokens, extents).data
-        for row, e in enumerate(extents):
-            assert np.array_equal(trimmed[row, :e], full[row, :e])
+        real = np.arange(40) < extents[:, None]
+        packed = model.forward(tokens, extents).data
+        assert not packed[~real].any()
+        np.testing.assert_allclose(packed[real], model.forward(tokens).data[real], rtol=1e-5, atol=1e-6)
+        for width in (40, 41, 64):
+            padded = np.where(np.arange(width) < extents[:, None],
+                              np.pad(tokens, ((0, 0), (0, width - 40))), rng.integers(0, 17, (5, width)))
+            # Three (row, head) pairs per attention block: blocks straddle rows.
+            for block_rows in (3, 10):
+                monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_rows * width * width * 4)
+                logits = model.forward(padded, extents).data
+                assert np.array_equal(logits[:, :40][real], packed[real])
+                assert not logits[:, 40:].any()
+
+    def test_every_per_token_matmul_runs_on_the_real_tokens_only(self, monkeypatch):
+        model = Transformer(TINY)
+        extents = np.array([9, 2, 14, 5])
+        rows = []
+        matmul = ad.matmul
+
+        def counting(a, b):
+            rows.append(a.shape[:2])
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting)
+        model.forward(np.zeros((4, 14), dtype=np.int64), extents)
+        assert rows == [(1, int(extents.sum()))] * (6 * TINY.n_layers + 1)
+
+    def test_extents_are_validated(self):
+        model = Transformer(TINY)
+        tokens = np.zeros((3, 9), dtype=np.int64)
+        for bad, message in (([9, 10, 4], "extent 10 of row 1"), ([-1, 3, 4], "extent -1 of row 0"),
+                             ([5, 2, 0], "extent 0 of row 2"), ([3, 4], r"shape \(3,\), got \(2,\)"),
+                             ([[3, 4, 5]], r"got \(1, 3\)")):
+            with pytest.raises(LengthError, match=message):
+                model.forward(tokens, np.array(bad))
 
     def test_logits_shape(self):
         model = Transformer(TINY)
@@ -292,7 +325,7 @@ class TestGenerate:
         starts, lengths = np.array([50, 10, 23]), np.array([5, 30, 1])  # each fits; 50 + 30 would not
         tokens = rng.integers(0, 17, size=(3, int((starts + lengths).max()) - 1))
         logits, answers = model.decode(tokens, starts, lengths)
-        assert np.array_equal(logits, model.forward(tokens).data)
+        assert np.array_equal(logits, model.forward(tokens, starts + lengths - 1).data)
         assert answers.shape == (3, 30)
         for row, (start, n) in enumerate(zip(starts, lengths)):
             alone = model.generate_greedy([tokens[row, :start]], int(n))[0]
@@ -529,6 +562,23 @@ class TestFullModelGradients:
 
         def f():
             return ad.cross_entropy(model.forward(tokens), targets, mask)
+
+        err = ad.grad_check(f, model.parameters().values(), epsilon=1e-3)
+        assert err < 1e-3
+
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_grad_check_with_ragged_extents(self, kind):
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, ffn_mult=2,
+                          max_seq_len=16, pe_kind=kind, init_seed=0)
+        model = Transformer(cfg).astype(np.float64)
+        rng = np.random.default_rng(9)
+        extents = np.array([3, 7, 1])
+        tokens = rng.integers(0, 17, size=(3, 7))
+        targets = rng.integers(0, 17, size=(3, 7))
+        mask = np.arange(7) < extents[:, None]
+
+        def f():
+            return ad.cross_entropy(model.forward(tokens, extents), targets, mask)
 
         err = ad.grad_check(f, model.parameters().values(), epsilon=1e-3)
         assert err < 1e-3
