@@ -25,9 +25,10 @@ the per-row log-sum-exp; its backward recomputes each block's probabilities
 from q, k and that log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
 Keys may outnumber queries, which is how a decoding step attends over its
 key/value cache.  Given each row's extent, the real length of a right-padded
-row, a block's tile covers only the queries and keys up to the longest
-extent among its rows: real positions are unchanged, and the positions past
-it get zero output and zero gradient.
+row, and optionally its first, the first query whose output is read, a
+block's tile covers only the query rows [min first, max extent) and the
+keys [0, max extent) of its rows: the read positions are unchanged, and the
+query rows outside that window get zero output and zero gradient.
 GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
 backward.  No primitive writes into its inputs' arrays.
 """
@@ -229,8 +230,8 @@ def gelu(x: Tensor) -> Tensor:
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              additive_mask: np.ndarray | None = None, extents: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, additive_mask: np.ndarray | None = None,
+              extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> Tensor:
     """softmax(scale * q @ k^T + mask) @ v as one op.
 
     q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq,
@@ -248,6 +249,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     tile, e being the largest extent among its rows.  Under a causal mask
     every real position's output and gradients are unchanged; output rows
     past e are zero, and so are dq, dk and dv there.
+
+    `firsts`, an (N,) int array that needs `extents`, marks row i's queries
+    before firsts[i] as unread: each must be in [0, extents[i] - 1].  Each
+    block's tile then covers only the query rows [f, e), f being the
+    smallest first among its rows, against the keys [0, e).  Under a causal
+    mask the output and gradients of every query in [firsts[i], extents[i])
+    are unchanged as long as the loss reads no query before firsts[i];
+    output rows and dq before f are zero.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2]
@@ -265,65 +274,75 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                              f"k {kd.shape}" + (" and a per-row mask" if per_row else ""))
         if extents.shape != (n,) or extents.min() < 1 or extents.max() > sq:
             raise ShapeError(f"extents must be {n} values in [1, {sq}]")
+    if firsts is not None:
+        firsts = np.asarray(firsts)
+        if extents is None:
+            raise ShapeError("firsts need extents")
+        if firsts.shape != (n,) or ((firsts < 0) | (firsts >= extents)).any():
+            raise ShapeError(f"firsts must be {n} values, each in [0, its row's extent - 1]")
     shared = None if additive_mask is None or per_row else np.broadcast_to(additive_mask, (sq, sk))
     dtype = qd.dtype
     scale = float(scale)
     step = max(1, _ATTENTION_BLOCK_BYTES // (sq * sk * dtype.itemsize))
-    # (lo, hi, eq, ek): each block's rows and the query and key extents of its
-    # tile; without `extents` these are Sq and Sk, with them Sq == Sk.
+    # (lo, hi, fq, eq, ek): each block's rows, its tile's query rows [fq, eq)
+    # and its keys [0, ek); without `extents` these are [0, Sq) and Sk, with
+    # them Sq == Sk.
     blocks = []
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         eq = sq if extents is None else int(extents[lo:hi].max())
-        blocks.append((lo, hi, eq, eq + sk - sq))
+        fq = 0 if firsts is None else int(firsts[lo:hi].min())
+        blocks.append((lo, hi, fq, eq, eq + sk - sq))
     buf = np.empty(min(step, n) * sq * sk, dtype=dtype)
     out = np.empty((n, sq, vd.shape[-1]), dtype=dtype)
     lse = np.empty((n, sq, 1), dtype=dtype)
 
-    def scores(lo, hi, eq, ek):
-        sc = buf[:(hi - lo) * eq * ek].reshape(hi - lo, eq, ek)
-        np.matmul(qd[lo:hi, :eq], _swap_last(kd[lo:hi, :ek]), out=sc)
+    def scores(lo, hi, fq, eq, ek):
+        sc = buf[:(hi - lo) * (eq - fq) * ek].reshape(hi - lo, eq - fq, ek)
+        np.matmul(qd[lo:hi, fq:eq], _swap_last(kd[lo:hi, :ek]), out=sc)
         sc *= scale
         if per_row:
             sc += additive_mask[lo:hi]
         elif shared is not None:
-            sc += shared[:eq, :ek]
+            sc += shared[fq:eq, :ek]
         return sc
 
-    for lo, hi, eq, ek in blocks:
-        p = scores(lo, hi, eq, ek)
+    for lo, hi, fq, eq, ek in blocks:
+        p = scores(lo, hi, fq, eq, ek)
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
         denom = p.sum(axis=-1, keepdims=True, dtype=np.float64)  # 64-bit accumulation
         p *= np.asarray(1.0 / denom, dtype=dtype)
-        np.matmul(p, vd[lo:hi, :ek], out=out[lo:hi, :eq])
+        np.matmul(p, vd[lo:hi, :ek], out=out[lo:hi, fq:eq])
+        out[lo:hi, :fq] = 0.0
         out[lo:hi, eq:] = 0.0
-        lse[lo:hi, :eq] = m + np.log(denom)
+        lse[lo:hi, fq:eq] = m + np.log(denom)
 
     def backward(g):
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
         dbuf = np.empty_like(buf)
-        for lo, hi, eq, ek in blocks:
-            p = scores(lo, hi, eq, ek)
-            p -= lse[lo:hi, :eq]
+        for lo, hi, fq, eq, ek in blocks:
+            p = scores(lo, hi, fq, eq, ek)
+            p -= lse[lo:hi, fq:eq]
             np.exp(p, out=p)
-            gb = g[lo:hi, :eq]
+            gb = g[lo:hi, fq:eq]
             if dv is not None:
                 np.matmul(_swap_last(p), gb, out=dv[lo:hi, :ek])
                 dv[lo:hi, ek:] = 0.0
             # dS = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(dO * O).
             ds = dbuf[:p.size].reshape(p.shape)
             np.matmul(gb, _swap_last(vd[lo:hi, :ek]), out=ds)
-            ds -= (gb * out[lo:hi, :eq]).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            ds -= (gb * out[lo:hi, fq:eq]).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
             ds *= p
             if dq is not None:
-                np.matmul(ds, kd[lo:hi, :ek], out=dq[lo:hi, :eq])
+                np.matmul(ds, kd[lo:hi, :ek], out=dq[lo:hi, fq:eq])
+                dq[lo:hi, :fq] = 0.0
                 dq[lo:hi, eq:] = 0.0
             if dk is not None:
-                np.matmul(_swap_last(ds), qd[lo:hi, :eq], out=dk[lo:hi, :ek])
+                np.matmul(_swap_last(ds), qd[lo:hi, fq:eq], out=dk[lo:hi, :ek])
                 dk[lo:hi, ek:] = 0.0
         for d in (dq, dk):
             if d is not None:

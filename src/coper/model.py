@@ -11,10 +11,14 @@ not at all (NONE).
 positions, shared by the batch or given per row, and an optional key/value
 cache.  That code packs the real tokens of right-padded rows into one
 sequence for every per-token op; only attention and the cache see the
-padded (row, slot) layout.  `decode` is the one greedy decoder.  It runs
-one causal forward over right-padded rows whose prompts end at per-row
-start positions; that forward's logits serve any teacher-forced scoring of
-the rows, and its own per-layer keys and values become the cache.  It then
+padded (row, slot) layout.  A caller that reads each row's logits only from
+a first position on says so, and the last layer then runs its queries,
+attention rows, feed-forward and head only on the read tokens: under the
+causal mask nothing else reads a last-layer output.  `decode` is the one
+greedy decoder.  It runs one causal forward over right-padded rows whose
+prompts end at per-row start positions; that forward's logits, read from
+each prompt's last token on, serve any answer-only teacher-forced scoring
+of the rows, and its own per-layer keys and values become the cache.  It then
 feeds one token per row per step at that row's own position and attends
 over the row's slots up to it, so every row sees exactly the positions it
 would see decoded alone.  `generate_greedy` right-pads prompts and calls it.
@@ -162,7 +166,8 @@ class Transformer:
         mask = np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
         return mask.astype(self.embedding.data.dtype)
 
-    def forward(self, tokens: np.ndarray, extents: np.ndarray | None = None) -> ad.Tensor:
+    def forward(self, tokens: np.ndarray, extents: np.ndarray | None = None,
+                firsts: np.ndarray | None = None) -> ad.Tensor:
         """Logits of shape (batch, length, vocab) under causal masking.
 
         `extents` (batch,) marks row i's tokens from extents[i] on as right
@@ -172,6 +177,14 @@ class Transformer:
         forward without extents up to float rounding, and do not depend on
         how much padding follows or what it holds; logits at padded
         positions are zero and carry no meaning.
+
+        `firsts` (batch,) says row i's logits are read only at positions
+        [firsts[i], extents[i]); each must be in [0, extents[i] - 1], and
+        None reads every real position.  The last layer's queries, attention
+        rows, feed-forward and head then run only on those read tokens, and
+        the logits before firsts[i] are zero.  The read logits, and the
+        gradients of a loss over them alone, are those of the forward
+        without firsts up to float rounding.
         """
         tokens = self._checked(tokens)
         b, s = tokens.shape
@@ -182,7 +195,16 @@ class Transformer:
             bad = np.flatnonzero((extents < 1) | (extents > s))
             if bad.size:
                 raise LengthError(f"extent {extents[bad[0]]} of row {bad[0]} is outside [1, {s}]")
-        return self._run(tokens, slice(0, s), self._causal_mask(s), None, extents)
+        if firsts is not None:
+            firsts = np.asarray(firsts)
+            extents = np.full(b, s) if extents is None else extents
+            if firsts.shape != (b,):
+                raise LengthError(f"firsts must have shape ({b},), got {firsts.shape}")
+            bad = np.flatnonzero((firsts < 0) | (firsts >= extents))
+            if bad.size:
+                i = bad[0]
+                raise LengthError(f"first {firsts[i]} of row {i} is outside [0, {extents[i] - 1}]")
+        return self._run(tokens, slice(0, s), self._causal_mask(s), None, extents, firsts)
 
     def _checked(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
@@ -193,7 +215,7 @@ class Transformer:
         return tokens
 
     def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None,
-             extents: np.ndarray | None = None) -> ad.Tensor:
+             extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> ad.Tensor:
         """The layer stack over `tokens` (B, S) at absolute `positions`.
 
         `positions` is a slice shared by every row, or a (B, S) array of
@@ -205,6 +227,12 @@ class Transformer:
         values into zero-padded (B * H, S, d_head) tiles for attention and
         the cache, `merge_heads` gathers attention's output back, and a
         one-head split returns (B, S, vocab) logits, zero at padding.
+        `firsts` (B,), which needs `extents`, is each row's first read slot
+        (see `forward`).  Unless every real token is read, a one-head
+        `merge_heads` gathers the read tokens from the last layer's input
+        and its normed copy; the last layer's keys and values still cover
+        every real token, and everything from its queries on runs on the
+        read tokens only.
         Without a cache, queries attend to the keys of `tokens` themselves.
         `cache` is a list of per-layer (keys, values) arrays of shape
         (B * H, slots, d_head).  Given empty, it receives each layer's own
@@ -232,6 +260,14 @@ class Transformer:
         head_extents = None if extents is None else np.repeat(extents, h)
         if cache:  # each layer writes its keys and values at `positions`
             written = (np.arange(b * h)[:, None], np.repeat(positions, h, axis=0))
+        # The packed indices of the tokens whose last-layer outputs are read;
+        # None when every real token is.
+        read = None if firsts is None or not firsts.any() else np.flatnonzero(cols >= firsts[rows])
+        # The queries' tile slots, rotary rows and attention firsts: every
+        # real token's, until the last layer keeps only the read tokens.
+        q_slots, q_firsts = slots, None
+        if cfg.pe_kind is PeKind.ROPE:
+            q_cos, q_sin = cos, sin
 
         x = ad.embedding(self.embedding, np.take(tokens, flat)[None])
         if cfg.pe_kind is PeKind.SINPE:
@@ -239,11 +275,16 @@ class Transformer:
         for layer in range(cfg.n_layers):
             p = self.params
             pre = f"layers.{layer}."
-            hn = ad.rmsnorm(x, p[pre + "attn_norm"])
-            q, k = ad.matmul(hn, p[pre + "wq"]), ad.matmul(hn, p[pre + "wk"])
+            hn = hq = ad.rmsnorm(x, p[pre + "attn_norm"])
+            if layer == cfg.n_layers - 1 and read is not None:
+                x, hq = ad.merge_heads(x, read[:, None]), ad.merge_heads(hn, read[:, None])
+                q_slots, q_firsts = slots[read], np.repeat(firsts, h)
+                if cfg.pe_kind is PeKind.ROPE:
+                    q_cos, q_sin = cos[read], sin[read]
+            q, k = ad.matmul(hq, p[pre + "wq"]), ad.matmul(hn, p[pre + "wk"])
             if cfg.pe_kind is PeKind.ROPE:
-                q, k = ad.rope_rotate(q, cos, sin), ad.rope_rotate(k, cos, sin)
-            q, k = ad.split_heads(q, slots, tile), ad.split_heads(k, slots, tile)
+                q, k = ad.rope_rotate(q, q_cos, q_sin), ad.rope_rotate(k, cos, sin)
+            q, k = ad.split_heads(q, q_slots, tile), ad.split_heads(k, slots, tile)
             v = ad.split_heads(ad.matmul(hn, p[pre + "wv"]), slots, tile)
             if cache is not None and len(cache) == layer:
                 cache.append((k.data, v.data))
@@ -252,14 +293,15 @@ class Transformer:
                 keys[written], values[written] = k.data, v.data
                 width = mask.shape[-1]
                 k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
-            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents), slots)
+            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents, q_firsts), q_slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
             x = ad.add(x, f)
         x = ad.rmsnorm(x, self.params["final_norm"])
-        # A one-head split puts each token's logits back at its (row, slot).
-        return ad.split_heads(ad.matmul(x, self.params["head"]), flat[:, None], (b, s))
+        # A one-head split puts each read token's logits back at its (row, slot).
+        out_slots = flat[:, None] if read is None else flat[read, None]
+        return ad.split_heads(ad.matmul(x, self.params["head"]), out_slots, (b, s))
 
     def decode(self, tokens, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
         """One forward's logits and each row's greedy answer: (logits, answers).
@@ -270,16 +312,21 @@ class Transformer:
         row's starts[i] + lengths[i] - 1 slots.  One causal forward over
         `tokens` gives the (B, S, vocab) logits, and its keys and values
         become the cache.  It takes starts[i] + lengths[i] - 1 as row i's
-        extent: the logits are those of `forward(tokens, starts + lengths -
-        1)`, zero past each row's extent, and the cache slots past it, which
-        decoding overwrites before reading, are zero padding.  Each row's
-        first answer token is the argmax at starts[i] - 1.  Every later step feeds each row's newest token at
-        its next absolute position, overwriting that slot, and attends over
-        the row's slots up to it, so whatever `tokens` holds after a prompt
-        is never seen.  A step runs only the span of rows from the first to
-        the last whose answer is unfinished; a finished row inside it stays
-        on its last slot.  `answers` is (B, max(lengths)), zero past each
-        row's length; ties resolve to the smallest id.
+        extent and reads row i's logits from starts[i] - 1, its prompt's
+        last token, on: the logits are those of `forward(tokens, starts +
+        lengths - 1, starts - 1)`, so they cover every position an
+        answer-only score reads and are zero before starts[i] - 1 and past
+        each row's extent.  The cache holds the keys and values of every
+        real token; its slots past a row's extent, which decoding
+        overwrites before reading, are zero padding.  Each row's first
+        answer token is the argmax at starts[i] - 1.  Every later step feeds
+        each row's newest token at its next absolute position, overwriting
+        that slot, and attends over the row's slots up to it, so whatever
+        `tokens` holds after a prompt is never seen.  A step runs only the
+        span of rows from the first to the last whose answer is unfinished;
+        a finished row inside it stays on its last slot.  `answers` is (B,
+        max(lengths)), zero past each row's length; ties resolve to the
+        smallest id.
         """
         tokens = self._checked(tokens)
         starts, lengths = np.asarray(starts), np.asarray(lengths)
@@ -296,7 +343,7 @@ class Transformer:
         if last.max() >= s:
             raise LengthError(f"tokens of length {s} cannot hold slot {last.max()}")
         cache = []
-        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache, last + 1).data
+        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache, last + 1, starts - 1).data
         answers = np.zeros((b, int(lengths.max())), dtype=np.int64)
         answers[:, 0] = logits[np.arange(b), starts - 1].argmax(axis=-1)
         dtype = self.embedding.data.dtype

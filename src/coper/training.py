@@ -85,17 +85,26 @@ def batch_arrays(samples: list[EncodedSample], loss_region: LossRegion):
     b = len(samples)
     tokens = np.full((b, max_len), PAD_ID, dtype=np.int16)
     mask = np.zeros((b, max_len - 1), dtype=np.float32)
+    firsts = _firsts(samples, loss_region)
     for i, s in enumerate(samples):
         n = len(s.tokens)
         tokens[i, :n] = s.tokens
-        start = s.answer_start if loss_region is LossRegion.ANSWER_ONLY else 1
-        mask[i, start - 1:n - 1] = 1.0
+        mask[i, firsts[i]:n - 1] = 1.0
     return tokens[:, :-1], tokens[:, 1:].astype(np.int64), mask
 
 
 def _extents(samples: list[EncodedSample]) -> np.ndarray:
     """Each sample's real length in its `batch_arrays` inputs, for `Transformer.forward`."""
     return np.array([len(s.tokens) - 1 for s in samples])
+
+
+def _firsts(samples: list[EncodedSample], loss_region: LossRegion) -> np.ndarray:
+    """Each sample's first position in its `batch_arrays` inputs whose
+    prediction the loss mask selects.  `Transformer.forward` takes them:
+    no logit before them is read, so its last layer skips those tokens."""
+    if loss_region is LossRegion.ANSWER_ONLY:
+        return np.array([s.answer_start - 1 for s in samples])
+    return np.zeros(len(samples), dtype=np.int64)
 
 
 def _epoch_batches(samples, batch_size: int, rng: np.random.Generator):
@@ -241,7 +250,7 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion)
     for batch in length_batches(samples):
         rows = [samples[i] for i in batch]
         inputs, labels, mask = batch_arrays(rows, loss_region)
-        score.add(model.forward(inputs, _extents(rows)).data, labels, mask)
+        score.add(model.forward(inputs, _extents(rows), _firsts(rows, loss_region)).data, labels, mask)
     return score.result()
 
 
@@ -311,7 +320,8 @@ def train(
         for batch in _epoch_batches(train_samples, config.batch_size, rng):
             inputs, labels, mask = batch_arrays(batch, config.loss_region)
             with ad.Tape() as tape:
-                loss = ad.cross_entropy(model.forward(inputs, _extents(batch)), labels, mask)
+                logits = model.forward(inputs, _extents(batch), _firsts(batch, config.loss_region))
+                loss = ad.cross_entropy(logits, labels, mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise DivergenceError(epoch, last_good, "loss")

@@ -241,6 +241,17 @@ class TestGradCheckPrimitives:
                                      np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
+    def test_attention_with_extents_and_firsts(self):
+        # One block holds all three rows, whose read windows [first, extent)
+        # differ: the tile covers query rows [1, 5), so row 1 also computes
+        # its unread queries 1 and 2, and the loss reads every position.
+        rng = np.random.default_rng(23)
+        q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
+        f = lambda: ad.cross_entropy(
+            ad.attention(q, k, v, 0.5, causal_mask(5), np.array([2, 5, 4]), np.array([1, 3, 2])),
+            np.ones((3, 5), int), np.ones((3, 5)))
+        self.check(f, [q, k, v])
+
     def test_rmsnorm(self):
         rng = np.random.default_rng(18)
         a, g, w = rand64(rng, 2, 3, 6), t64(np.ones(6)), rand64(rng, 6, 4)
@@ -302,11 +313,11 @@ def test_forward_determinism():
     assert np.array_equal(f(), f())
 
 
-def _attention_run(q, k, v, mask, extents=None, loss_mask=None):
+def _attention_run(q, k, v, mask, extents=None, loss_mask=None, firsts=None):
     for t in (q, k, v):
         t.grad = None
     with ad.Tape() as tape:
-        out = ad.attention(q, k, v, 0.35, mask, extents)
+        out = ad.attention(q, k, v, 0.35, mask, extents, firsts)
         loss_mask = np.ones(out.shape[:2]) if loss_mask is None else loss_mask
         loss = ad.cross_entropy(out, np.zeros(out.shape[:2], int), loss_mask)
     tape.backward(loss)
@@ -369,6 +380,44 @@ def test_attention_extents_leave_every_real_position_unchanged(monkeypatch):
     alone = _attention_run(q, k, v, mask, extents)
     assert not alone[0][~real].any()
     np.testing.assert_allclose(alone[0][real], whole[0][real], rtol=1e-6, atol=1e-7)
+
+
+def test_attention_firsts_leave_every_read_position_unchanged(monkeypatch):
+    rng = np.random.default_rng(35)
+    n, s = 7, 11
+    q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = causal_mask(s).astype(np.float32)
+    extents = np.array([3, 11, 5, 2, 9, 7, 4])
+    firsts = np.array([2, 4, 0, 1, 8, 3, 3])
+    slot = np.arange(s)[None, :]
+    read = (slot >= firsts[:, None]) & (slot < extents[:, None])
+    # Blocks of 3, 3 and 1 rows: the first two hold rows of different windows.
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
+    whole = _attention_run(q, k, v, mask, extents, loss_mask=read)
+    windowed = _attention_run(q, k, v, mask, extents, loss_mask=read, firsts=firsts)
+    np.testing.assert_allclose(windowed[0][read], whole[0][read], rtol=1e-6, atol=1e-7)
+    for a, b in zip(whole[1:], windowed[1:]):
+        np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
+    assert not windowed[1][slot < firsts[:, None]].any()  # dq of unread queries
+    # With one row per block, each tile is its row's window: unread output rows are zero.
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", s * s * 4)
+    alone = _attention_run(q, k, v, mask, extents, loss_mask=read, firsts=firsts)
+    assert not alone[0][~read].any()
+    np.testing.assert_allclose(alone[0][read], whole[0][read], rtol=1e-6, atol=1e-7)
+
+
+def test_attention_rejects_firsts_without_extents():
+    q = ad.Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeError, match="firsts need extents"):
+        ad.attention(q, q, q, 1.0, None, None, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("bad", [[-1, 0], [0, 2], [0, 3], [0], [[0, 1]]])
+def test_attention_rejects_a_first_outside_its_rows_extent(bad):
+    q = ad.Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeError, match="firsts must be 2 values"):
+        ad.attention(q, q, q, 1.0, None, np.array([3, 2]), np.array(bad))
 
 
 def test_attention_rejects_a_bad_extent_unequal_lengths_or_a_row_mask():

@@ -210,27 +210,34 @@ class TestFusedEvaluate:
         monkeypatch.setattr(training, "TF_BATCH_SIZE", 5)
         full_forwards = []
         prefill_extents = []
+        prefill_firsts = []
         run = Transformer._run
 
-        def counting(self, tokens, positions, mask, cache=None, extents=None):
+        def counting(self, tokens, positions, mask, cache=None, extents=None, firsts=None):
             if isinstance(positions, slice):
                 full_forwards.append(tokens.shape)
                 prefill_extents.append(extents.tolist())
-            return run(self, tokens, positions, mask, cache, extents)
+                prefill_firsts.append(firsts.tolist())
+            return run(self, tokens, positions, mask, cache, extents, firsts)
 
         monkeypatch.setattr(Transformer, "_run", counting)
         result = evaluate(model, data)
         teacher_forced = []  # (rows, width) of each batch's [BOS] + input + target[:-1]
         real = []  # each batch's starts + lengths - 1: the real length of every row
+        read = []  # each batch's answer_start - 1: the first position the answer-only score reads
         for recs in records.values():
-            lengths = sorted(len(r.input_text) + len(r.target_text) for r in recs)
+            samples = sorted(training.encode_records(recs), key=lambda s: len(s.tokens))
+            lengths = [len(s.tokens) - 1 for s in samples]
             teacher_forced += [(len(lengths[i:i + 5]), lengths[i:i + 5][-1])
                                for i in range(0, len(lengths), 5)]
             real += [lengths[i:i + 5] for i in range(0, len(lengths), 5)]
+            read += [[s.answer_start - 1 for s in samples[i:i + 5]] for i in range(0, len(samples), 5)]
         assert len(teacher_forced) > len(records)
         assert full_forwards == teacher_forced
         assert prefill_extents == real
+        assert prefill_firsts == read
         assert any(len(set(batch)) > 1 for batch in real)
+        assert any(len(set(batch)) > 1 for batch in read)
 
         monkeypatch.setattr(Transformer, "_run", run)
         for split, recs in records.items():

@@ -183,6 +183,64 @@ class TestForward:
             with pytest.raises(LengthError, match=message):
                 model.forward(tokens, np.array(bad))
 
+    @pytest.mark.parametrize("n_layers", [1, 2])  # one layer: the only layer is the last
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_firsts_leave_every_read_logit_and_gradient_unchanged(self, kind, n_layers):
+        model = Transformer(replace(TINY, pe_kind=kind, n_layers=n_layers))
+        rng = np.random.default_rng(15)
+        extents, firsts = np.array([14, 3, 9, 1, 12]), np.array([5, 2, 0, 0, 11])
+        tokens, targets = rng.integers(0, 17, size=(2, 5, 14))
+        slot = np.arange(14)
+        read = (slot >= firsts[:, None]) & (slot < extents[:, None])
+        logits, grads = [], []
+        for given in (None, firsts):
+            for t in model.parameters().values():
+                t.grad = None
+            with ad.Tape() as tape:
+                out = model.forward(tokens, extents, given)
+                loss = ad.cross_entropy(out, targets, read)
+            tape.backward(loss)
+            logits.append(out.data)
+            grads.append({name: t.grad for name, t in model.parameters().items()})
+        np.testing.assert_allclose(logits[1][read], logits[0][read], rtol=1e-5, atol=1e-6)
+        assert not logits[1][~read].any()
+        for name, grad in grads[0].items():
+            np.testing.assert_allclose(grads[1][name], grad, rtol=1e-4, atol=1e-6, err_msg=name)
+
+    def test_the_last_layer_runs_from_its_keys_and_values_on_the_read_tokens_only(self, monkeypatch):
+        model = Transformer(TINY)
+        extents, firsts = np.array([9, 2, 14, 5]), np.array([3, 1, 0, 4])
+        names = {id(t): name for name, t in model.parameters().items()}
+        rows = {}
+        matmul = ad.matmul
+
+        def counting(a, b):
+            rows[names[id(b)]] = a.shape[:2]
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting)
+        model.forward(np.zeros((4, 14), dtype=np.int64), extents, firsts)
+        real, read = (1, int(extents.sum())), (1, int((extents - firsts).sum()))
+        last = f"layers.{TINY.n_layers - 1}."
+        assert rows["head"] == read
+        assert {name: rows[last + name] for name in ("wq", "wo", "w1", "w2")} == dict.fromkeys(
+            ("wq", "wo", "w1", "w2"), read)
+        assert rows[last + "wk"] == rows[last + "wv"] == rows["layers.0.wq"] == real
+
+    @pytest.mark.parametrize("extents, bad, message", [
+        ([9, 4, 2], [0, 4, 1], r"first 4 of row 1 is outside \[0, 3\]"),
+        ([9, 4, 2], [-1, 0, 0], r"first -1 of row 0 is outside \[0, 8\]"),
+        ([9, 4, 2], [0, 3, 2], r"first 2 of row 2 is outside \[0, 1\]"),
+        (None, [0, 9, 0], r"first 9 of row 1 is outside \[0, 8\]"),
+        ([9, 4, 2], [0, 1], r"shape \(3,\), got \(2,\)"),
+        ([9, 4, 2], [[0, 1, 1]], r"shape \(3,\), got \(1, 3\)"),
+    ])
+    def test_firsts_are_validated(self, extents, bad, message):
+        model = Transformer(TINY)
+        extents = None if extents is None else np.array(extents)
+        with pytest.raises(LengthError, match=message):
+            model.forward(np.zeros((3, 9), dtype=np.int64), extents, np.array(bad))
+
     def test_logits_shape(self):
         model = Transformer(TINY)
         out = model.forward(np.zeros((3, 9), dtype=np.int64))
@@ -325,7 +383,12 @@ class TestGenerate:
         starts, lengths = np.array([50, 10, 23]), np.array([5, 30, 1])  # each fits; 50 + 30 would not
         tokens = rng.integers(0, 17, size=(3, int((starts + lengths).max()) - 1))
         logits, answers = model.decode(tokens, starts, lengths)
-        assert np.array_equal(logits, model.forward(tokens, starts + lengths - 1).data)
+        assert np.array_equal(logits, model.forward(tokens, starts + lengths - 1, starts - 1).data)
+        # Every position an answer-only score reads, from each prompt's last token on.
+        read = (np.arange(tokens.shape[1]) >= starts[:, None] - 1) & (
+            np.arange(tokens.shape[1]) < (starts + lengths - 1)[:, None])
+        np.testing.assert_allclose(logits[read], model.forward(tokens).data[read], rtol=1e-5, atol=1e-6)
+        assert not logits[~read].any()
         assert answers.shape == (3, 30)
         for row, (start, n) in enumerate(zip(starts, lengths)):
             alone = model.generate_greedy([tokens[row, :start]], int(n))[0]

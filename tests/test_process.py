@@ -68,29 +68,34 @@ tokens = rng.integers(0, model.config.vocab_size, (64, 43))
 labels = rng.integers(0, model.config.vocab_size, (64, 43))
 mask = np.ones((64, 43), dtype=np.float32)
 
-def step(extents=None):
+def step(extents=None, firsts=None):
     with ad.Tape() as tape:
-        loss = ad.cross_entropy(model.forward(tokens, extents), labels, mask)
+        loss = ad.cross_entropy(model.forward(tokens, extents, firsts), labels, mask)
     tape.backward(loss)
 
 def faults(batches):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for extents in batches:
-        step(extents)
+    for window in batches:
+        step(*window)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 step()
-repeated = faults([None] * 5)
+repeated = faults([()] * 5)
 # Five steps of different packed lengths, each shorter than the warm-up's.
 ragged = [rng.integers(lo, 44, 64) for lo in (1, 10, 20, 30, 40)]
 assert len({int(e.sum()) for e in ragged}) == 5
-print(json.dumps({"repeated": repeated, "ragged": faults(ragged)}))
+# Five more whose last layer reads a different number of tokens each.
+read = [(e, rng.integers(0, e)) for e in ragged]
+assert len({int((e - f).sum()) for e, f in read}) == 5
+print(json.dumps({"repeated": repeated, "ragged": faults([(e,) for e in ragged]),
+                  "read": faults(read)}))
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="the allocator thresholds are set only under glibc on Linux")
 def test_a_repeated_training_step_does_not_fault():
-    # Steps whose packed token count T varies must reuse memory as well.
+    # Steps whose packed token count T varies must reuse memory as well, and
+    # so must steps whose last layer runs on a varying share of the tokens.
     faults = _python(REPEATED_STEPS)
-    assert faults["repeated"] < 1000 and faults["ragged"] < 1000, faults
+    assert faults["repeated"] < 1000 and faults["ragged"] < 1000 and faults["read"] < 1000, faults
