@@ -189,7 +189,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .composers import gen_scaled_single
-    from .cycles import PeriodicCycle
     from .dataset import TaskParams, _sample_exact_period
     from .invariance import (PhaseConfig, check_relative_invariance,
                              invariance_premise_test, rule_periodicity_counterexample)
@@ -209,10 +208,10 @@ def _cmd_analyze(args) -> int:
         cases = []
         for _ in range(args.trials):
             period = int(rng.integers(1, 8))
-            values = _sample_exact_period(period, 1, params.value_hi, rng)
-            seq = gen_scaled_single(PeriodicCycle(values, base=params.value_hi + 1), 3)
+            cycle = _sample_exact_period(period, 1, params.value_hi, rng)
+            seq = gen_scaled_single(cycle, 3)
             w = invariance_premise_test(seq, period)
-            cases.append({"period": period, "values": list(values), **asdict(w)})
+            cases.append({"period": period, "values": list(cycle.values), **asdict(w)})
         witness = {"all_violate": all(not c["holds"] for c in cases), "cases": cases}
     else:  # pragma: no cover - argparse choices guard this
         raise ValidationFailure(f"unknown analyze target {args.target!r}")
@@ -257,9 +256,16 @@ def _cmd_run_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_dir = out / "data"
+    # Wall clock per stage, for stamp.json: the one artifact allowed to differ
+    # between same-seed runs.
+    clock = time.perf_counter
+    start = clock()
     build_dataset(profile.rule, settings.policy, settings.counts, args.seed, data_dir,
                   answer_policy=settings.answer_policy, task_params=settings.task_params)
+    times = {"gen_s": clock() - start, "train_s": {}, "eval_s": {}}
+    start = clock()
     report = verify_dataset(data_dir)
+    times["verify_s"] = clock() - start
     if not report.passed:
         first = report.first_failure()
         raise ValidationFailure(
@@ -269,10 +275,14 @@ def _cmd_run_experiment(args) -> int:
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"
         model = Transformer(replace(settings.model, init_seed=seed))
+        start = clock()
         _, runlog = train(model, data_dir, replace(settings.train, seed=seed),
                           out_dir=seed_dir, verbose=args.verbose)
+        times["train_s"][str(seed)] = clock() - start
         emit_loss_curves(runlog, seed_dir / "curves.csv", seed_dir / "curves.svg")
+        start = clock()
         result = evaluate(model, data_dir)
+        times["eval_s"][str(seed)] = clock() - start
         emit_heatmap(result.combined_grid(), seed_dir / "heatmap.csv", seed_dir / "heatmap.svg")
         name = f"{profile.name}-seed{seed}"
         named_reports.append((name, result.report))
@@ -287,7 +297,7 @@ def _cmd_run_experiment(args) -> int:
     emit_category_bar(named_reports, out / "categories.csv", out / "categories.svg")
     _write_json(out / "summary.json",
                 {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc})
-    _write_stamp(out, args, {"model": asdict(settings.model), "train": asdict(settings.train)})
+    _write_stamp(out, args, {"model": asdict(settings.model), "train": asdict(settings.train), **times})
     print(f"profile {profile.name}: mean id {_fmt(mean_acc['id_accuracy'])} "
           f"hollow {_fmt(mean_acc['hollow_accuracy'])} "
           f"extrapolation {_fmt(mean_acc['extrapolation_accuracy'])}")

@@ -56,12 +56,13 @@ class AnswerLenPolicy:
 
 
 def _check_values(cycle: PeriodicCycle, modulus: int) -> None:
-    if any(v >= modulus for v in cycle.values):
+    if max(cycle.values) >= modulus:
         raise InvalidValue(f"cycle values must be < modulus {modulus}: {cycle.values}")
 
 
-def _extended(cycle: PeriodicCycle, length: int) -> np.ndarray:
-    return np.resize(np.asarray(cycle.values, dtype=np.int64), length)
+def _extended(cycle: PeriodicCycle, length: int) -> tuple[int, ...]:
+    """The first `length` values of the cycle's infinite repetition."""
+    return (cycle.values * -(-length // len(cycle)))[:length]
 
 
 def compose_modadd(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: int) -> tuple[int, ...]:
@@ -72,8 +73,7 @@ def compose_modadd(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: 
         raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
     _check_values(c1, modulus)
     _check_values(c2, modulus)
-    out = (_extended(c1, out_len) + _extended(c2, out_len)) % modulus
-    return tuple(int(v) for v in out)
+    return tuple([(a + b) % modulus for a, b in zip(_extended(c1, out_len), _extended(c2, out_len))])
 
 
 def compose_addsub(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: int) -> tuple[int, ...]:
@@ -87,9 +87,8 @@ def compose_addsub(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: 
         raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
     _check_values(c1, modulus)
     _check_values(c2, modulus)
-    signs = np.where(np.arange(out_len) % 2 == 0, 1, -1)
-    out = (_extended(c1, out_len) + signs * _extended(c2, out_len)) % modulus
-    return tuple(int(v) for v in out)
+    e1, e2 = _extended(c1, out_len), _extended(c2, out_len)
+    return tuple([(e1[t] - e2[t] if t & 1 else e1[t] + e2[t]) % modulus for t in range(out_len)])
 
 
 def compose_circconv_raw(c1: PeriodicCycle, c2: PeriodicCycle) -> tuple[int, ...]:
@@ -98,12 +97,12 @@ def compose_circconv_raw(c1: PeriodicCycle, c2: PeriodicCycle) -> tuple[int, ...
     raw[t] = sum_{n=0}^{N-1} c1[n mod P1] * c2[(t - n) mod P2].
     """
     n_total = lcm(len(c1), len(c2))
-    f1 = _extended(c1, n_total)
-    f2 = _extended(c2, n_total)
+    f1 = np.array(_extended(c1, n_total), dtype=np.int64)
+    f2 = np.array(_extended(c2, n_total), dtype=np.int64)
     t = np.arange(n_total)
     idx = (t[:, None] - t[None, :]) % n_total  # idx[t, n] = (t - n) mod N
     raw = (f2[idx] * f1[None, :]).sum(axis=1)
-    return tuple(int(v) for v in raw)
+    return tuple(raw.tolist())
 
 
 def compose_circconv(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int) -> tuple[int, ...]:
@@ -135,10 +134,8 @@ def gen_single_continuation(c: PeriodicCycle, prompt_len: int, answer_len: int) 
         raise InvalidSpec(f"prompt_len {prompt_len} shorter than two cycles of length {len(c)}")
     if answer_len < 1:
         raise InvalidSpec(f"answer_len must be >= 1, got {answer_len}")
-    n = len(c)
-    prompt = tuple(c.values[t % n] for t in range(prompt_len))
-    answer = tuple(c.values[t % n] for t in range(prompt_len, prompt_len + answer_len))
-    return prompt, answer
+    seq = _extended(c, prompt_len + answer_len)
+    return seq[:prompt_len], seq[prompt_len:]
 
 
 def format_fixed10(v: float) -> str:

@@ -30,27 +30,29 @@ class PeriodicCycle:
     base: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.values) == 0:
+        values = tuple(map(int, self.values))
+        object.__setattr__(self, "values", values)
+        if len(values) == 0:
             raise InvalidCycle("cycle must contain at least one value")
         if self.base < 2:
             raise InvalidCycle(f"base must be >= 2, got {self.base}")
-        for v in self.values:
-            if not 0 <= v < self.base:
-                raise InvalidCycle(f"value {v} outside [0, {self.base})")
+        if min(values) < 0 or max(values) >= self.base:
+            bad = next(v for v in values if not 0 <= v < self.base)
+            raise InvalidCycle(f"value {bad} outside [0, {self.base})")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 def minimal_period(cycle: PeriodicCycle) -> int:
-    """Smallest d dividing len(cycle) with values[i] == values[i mod d]."""
+    """Smallest d dividing len(cycle) with values[i] == values[i mod d].
+
+    That holds exactly when the cycle equals itself shifted by d.
+    """
     values = cycle.values
     n = len(values)
     for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        if all(values[i] == values[i % d] for i in range(n)):
+        if n % d == 0 and values[d:] == values[:n - d]:
             return d
     return n  # unreachable: d == n always matches
 

@@ -3,9 +3,9 @@
 A SplitPolicy divides the (P1, P2) period grid into in-distribution pairs,
 deliberately withheld hollow pairs (interpolation probes), and pairs with a
 period outside the training range (extrapolation probes).  build_dataset
-emits one JSONL file per split plus a manifest; verify_dataset re-derives
-every target with a character-level brute-force oracle that shares no code
-with the generators.
+writes one JSONL file per split plus a manifest, each atomically;
+verify_dataset re-derives every target from the record text with an oracle
+that shares no code with the generators.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .composers import (
     gen_sine_pair,
 )
 from .cycles import PeriodicCycle, lcm, minimal_period
+from .model import write_atomic
 
 FORMAT_VERSION = "coper-1"
 # Cycle values of the digit tasks, and their composed answers, live in [0, 10).
@@ -121,14 +122,15 @@ def classify_pair(p1: int, p2: int, policy: SplitPolicy) -> PairClass:
     return PairClass.ID if in_train else PairClass.EXTRAPOLATION
 
 
-def _sample_exact_period(period: int, lo: int, hi: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform draws over [lo, hi] rejected until the minimal period is exact."""
+def _sample_exact_period(period: int, lo: int, hi: int, rng: np.random.Generator) -> PeriodicCycle:
+    """Cycle in base hi + 1 of uniform draws over [lo, hi], rejected until
+    its minimal period is exact."""
     if period == 1:
-        return (int(rng.integers(lo, hi + 1)),)
+        return PeriodicCycle((int(rng.integers(lo, hi + 1)),), base=hi + 1)
     for _ in range(100_000):
-        values = tuple(int(v) for v in rng.integers(lo, hi + 1, size=period))
-        if minimal_period(PeriodicCycle(values, base=hi + 1)) == period:
-            return values
+        cycle = PeriodicCycle(tuple(rng.integers(lo, hi + 1, size=period).tolist()), base=hi + 1)
+        if minimal_period(cycle) == period:
+            return cycle
     raise RuntimeError(f"rejection sampling failed for period {period} over [{lo}, {hi}]")
 
 
@@ -138,7 +140,7 @@ def sample_cycle(period: int, base: int, rng: np.random.Generator) -> PeriodicCy
         raise InvalidSpec(f"period must be >= 1, got {period}")
     if base < 2:
         raise InvalidSpec(f"base must be >= 2, got {base}")
-    return PeriodicCycle(_sample_exact_period(period, 0, base - 1, rng), base=base)
+    return _sample_exact_period(period, 0, base - 1, rng)
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,7 @@ class DatasetManifest:
         )
 
     def save(self, path: Path) -> None:
-        path.write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_atomic(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: Path) -> "DatasetManifest":
@@ -297,7 +299,7 @@ def _record_rng(master_seed: int, split: Split, index: int) -> np.random.Generat
 
 
 def _digits(seq) -> str:
-    return "".join(str(int(v)) for v in seq)
+    return "".join(map(str, seq))
 
 
 def make_record(
@@ -322,8 +324,9 @@ def make_record(
             ans = compose_addsub(c1, c2, modulus, ans_len)
         else:
             ans = compose_circconv(c1, c2, modulus)[:ans_len]
-        s1 = _digits(np.resize(np.asarray(c1.values), n_total))
-        s2 = _digits(np.resize(np.asarray(c2.values), n_total))
+        # lcm(p1, p2) is a multiple of each period: every operand is whole cycles.
+        s1 = _digits(c1.values) * (n_total // p1)
+        s2 = _digits(c2.values) * (n_total // p2)
         input_text, target_text = codec.serialize_sample(s1, s2, _digits(ans))
     elif rule is ComposeRule.SINGLE_PERIOD:
         c = sample_cycle(p1, modulus, rng)
@@ -336,8 +339,7 @@ def make_record(
         prompt, answer = gen_single_continuation(c, prompt_len, params.answer_len)
         input_text, target_text = _digits(prompt), _digits(answer)
     elif rule is ComposeRule.SCALED_SINGLE:
-        values = _sample_exact_period(p1, 1, params.value_hi, rng)
-        c = PeriodicCycle(values, base=params.value_hi + 1)
+        c = _sample_exact_period(p1, 1, params.value_hi, rng)
         seq = gen_scaled_single(c, params.repeats, params.factor)
         cut = params.prompt_blocks * p1
         input_text = ",".join(str(v) for v in seq[:cut]) + ","
@@ -405,7 +407,7 @@ def build_dataset(
                 pair = pairs[int(rng.integers(len(pairs)))]
             rec = make_record(rule, split, pair, i, rng, _MODULUS, answer_policy, task_params)
             lines.append(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
-        (out_dir / name).write_text("\n".join(lines) + "\n")
+        write_atomic(out_dir / name, "\n".join(lines) + "\n")
         files[split] = name
 
     manifest = DatasetManifest(
@@ -442,7 +444,10 @@ def load_records(data_dir: Path, split: Split) -> list[SampleRecord]:
 
 # ---------------------------------------------------------------------------
 # Independent verification.  Everything below re-derives targets straight
-# from the record text with plain loops; no generator code is reused.
+# from the record text and shares no code with the generators: operands are
+# checked as repetitions of their first cycle, and the circular convolution
+# comes from its closed form over residue classes (`_oracle_circconv`), not
+# from the generator's sum over all lcm(P1, P2) shifts.
 # ---------------------------------------------------------------------------
 
 
@@ -466,9 +471,31 @@ class VerificationReport:
 def _text_minimal_period(text: str) -> int:
     n = len(text)
     for d in range(1, n + 1):
-        if n % d == 0 and all(text[i] == text[i % d] for i in range(n)):
+        if n % d == 0 and text[d:] == text[:n - d]:  # text equals itself shifted by d
             return d
     return n
+
+
+def _repeat_to(seq, length: int):
+    """The first `length` items of `seq` repeated forever."""
+    return (seq * (length // len(seq) + 1))[:length]
+
+
+def _oracle_circconv(a: list, b: list, length: int, modulus: int) -> str:
+    """Digits t < length of sum_{m < N} a[m mod P1] * b[(t - m) mod P2], reduced.
+
+    Over N = lcm(P1, P2), m <-> (m mod P1, m mod P2) is one-to-one onto the
+    pairs that agree mod g = gcd(P1, P2), so each (i, j) with
+    i + j = t (mod g) is met exactly once.  The sum is therefore
+    sum_r A[r] * B[(t - r) mod g], where A and B sum each cycle over its
+    residue classes mod g, and depends on t mod g alone.
+    """
+    g = math.gcd(len(a), len(b))
+    sums_a = [sum(a[r::g]) for r in range(g)]
+    sums_b = [sum(b[r::g]) for r in range(g)]
+    period = "".join(str(sum(sums_a[r] * sums_b[(t - r) % g] for r in range(g)) % modulus)
+                     for t in range(g))
+    return _repeat_to(period, length)
 
 
 def _oracle_two_cycle(rec: SampleRecord, modulus: int) -> str | None:
@@ -486,17 +513,14 @@ def _oracle_two_cycle(rec: SampleRecord, modulus: int) -> str | None:
         return None
     if _text_minimal_period(s1) != p1 or _text_minimal_period(s2) != p2:
         return None
-    out = []
-    for t in range(len(rec.target_text)):
-        if rec.rule is ComposeRule.MOD_ADD:
-            v = (int(s1[t % p1]) + int(s2[t % p2])) % modulus
-        elif rec.rule is ComposeRule.ADD_SUB_ALT:
-            sign = 1 if t % 2 == 0 else -1
-            v = (int(s1[t % p1]) + sign * int(s2[t % p2])) % modulus
-        else:  # CIRC_CONV
-            v = sum(int(s1[m % p1]) * int(s2[(t - m) % p2]) for m in range(n)) % modulus
-        out.append(str(v))
-    return "".join(out)
+    a, b = [int(c) for c in s1[:p1]], [int(c) for c in s2[:p2]]
+    length = len(rec.target_text)
+    if rec.rule is ComposeRule.CIRC_CONV:
+        return _oracle_circconv(a, b, length, modulus)
+    a, b = _repeat_to(a, length), _repeat_to(b, length)
+    if rec.rule is ComposeRule.ADD_SUB_ALT:
+        b = [-v if t % 2 else v for t, v in enumerate(b)]
+    return "".join([str((x + y) % modulus) for x, y in zip(a, b)])
 
 
 def _check_record(rec: SampleRecord, manifest: DatasetManifest) -> str | None:
@@ -553,9 +577,10 @@ def _check_record(rec: SampleRecord, manifest: DatasetManifest) -> str | None:
         cycle = prompt[:p]
         if _text_minimal_period(cycle) != p:
             return f"prompt cycle {cycle!r} has minimal period below {p}"
-        if any(prompt[t] != cycle[t % p] for t in range(len(prompt))):
+        if prompt != _repeat_to(cycle, len(prompt)):
             return "prompt is not a periodic extension of its first cycle"
-        expect = "".join(cycle[(len(prompt) + i) % p] for i in range(len(rec.target_text)))
+        shift = len(prompt) % p
+        expect = _repeat_to(cycle[shift:] + cycle[:shift], len(rec.target_text))
         if rec.target_text != expect:
             return f"target {rec.target_text!r} != continuation {expect!r}"
         return None

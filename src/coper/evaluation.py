@@ -21,7 +21,7 @@ import numpy as np
 
 from .codec import VOCAB_SIZE, encode
 from .dataset import Split, load_records
-from .model import ConfigError, Transformer
+from .model import ConfigError, Transformer, write_atomic
 from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
                        ood_weighted)
 
@@ -231,12 +231,13 @@ def _legend(x: int, y: int, height: int) -> list:
 def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path) -> None:
     """Row-major CSV plus an SVG grid; never-sampled pairs stay blank."""
     rows = sorted(grid.cells)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p1", "p2", "correct", "total", "accuracy"])
-        for pair in rows:
-            c, t = grid.cells[pair]
-            writer.writerow([pair[0], pair[1], c, t, f"{c / t:.6f}" if t else ""])
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["p1", "p2", "correct", "total", "accuracy"])
+    for pair in rows:
+        c, t = grid.cells[pair]
+        writer.writerow([pair[0], pair[1], c, t, f"{c / t:.6f}" if t else ""])
+    write_atomic(csv_path, fh.getvalue())
 
     if rows:
         p1_lo = min(p for p, _ in rows)
@@ -267,7 +268,7 @@ def emit_heatmap(grid: PairAccuracyGrid, csv_path: Path, svg_path: Path) -> None
     body += _legend(left + ncols * cell + 16, top, max(nrows * cell - 4, 40))
     width = left + ncols * cell + 90
     height = top + nrows * cell + 40
-    Path(svg_path).write_text(_svg(width, height, body))
+    write_atomic(svg_path, _svg(width, height, body))
 
 
 def _cell(value: float | None) -> str:
@@ -279,15 +280,16 @@ def emit_category_bar(named_reports: list, csv_path: Path, svg_path: Path) -> No
 
     A category the dataset lacks is a blank cell and draws no bar.
     """
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "split", "loss", "accuracy"])
-        for name, rep in named_reports:
-            writer.writerow([name, "id", _cell(rep.id_loss), _cell(rep.id_accuracy)])
-            writer.writerow([name, "hollow", "", _cell(rep.hollow_accuracy)])
-            writer.writerow([name, "extrapolation", "", _cell(rep.extrapolation_accuracy)])
-            writer.writerow([name, "ood", _cell(rep.ood_loss), ""])
-            writer.writerow([name, "average", "", _cell(rep.average)])
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["model", "split", "loss", "accuracy"])
+    for name, rep in named_reports:
+        writer.writerow([name, "id", _cell(rep.id_loss), _cell(rep.id_accuracy)])
+        writer.writerow([name, "hollow", "", _cell(rep.hollow_accuracy)])
+        writer.writerow([name, "extrapolation", "", _cell(rep.extrapolation_accuracy)])
+        writer.writerow([name, "ood", _cell(rep.ood_loss), ""])
+        writer.writerow([name, "average", "", _cell(rep.average)])
+    write_atomic(csv_path, fh.getvalue())
 
     bar_w, gap, group_gap, top, bottom, left = 34, 6, 30, 30, 46, 40
     chart_h = 160
@@ -310,28 +312,29 @@ def emit_category_bar(named_reports: list, csv_path: Path, svg_path: Path) -> No
         body.append(f'<line x1="{left - 4}" y1="{y}" x2="{x}" y2="{y}" '
                     f'stroke="#999" stroke-dasharray="2,3"/>')
         body.append(f'<text x="6" y="{y + 4}">{frac:.1f}</text>')
-    Path(svg_path).write_text(_svg(x + 20, top + chart_h + bottom, body))
+    write_atomic(svg_path, _svg(x + 20, top + chart_h + bottom, body))
 
 
 def emit_loss_curves(runlog, csv_path: Path, svg_path: Path) -> None:
     """CSV (epoch, split, loss) and an SVG line chart of ID vs OOD losses."""
     series: dict = {}
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "split", "loss"])
-        for pt in runlog.points:
-            writer.writerow([pt.epoch, "train", f"{pt.train_loss:.6f}"])
-            series.setdefault("train", []).append((pt.epoch, pt.train_loss))
-            for split, loss in sorted(pt.split_loss.items()):
-                writer.writerow([pt.epoch, split, f"{loss:.6f}"])
-                series.setdefault(split, []).append((pt.epoch, loss))
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["epoch", "split", "loss"])
+    for pt in runlog.points:
+        writer.writerow([pt.epoch, "train", f"{pt.train_loss:.6f}"])
+        series.setdefault("train", []).append((pt.epoch, pt.train_loss))
+        for split, loss in sorted(pt.split_loss.items()):
+            writer.writerow([pt.epoch, split, f"{loss:.6f}"])
+            series.setdefault(split, []).append((pt.epoch, loss))
+    write_atomic(csv_path, fh.getvalue())
 
     width, height, left, top = 420, 220, 46, 16
     chart_w, chart_h = width - left - 110, height - top - 36
     all_pts = [v for pts in series.values() for _, v in pts]
     all_ep = [e for pts in series.values() for e, _ in pts]
     if not all_pts:
-        Path(svg_path).write_text(_svg(width, height, ['<text x="10" y="20">no data</text>']))
+        write_atomic(svg_path, _svg(width, height, ['<text x="10" y="20">no data</text>']))
         return
     lo, hi = min(all_pts), max(all_pts)
     e_lo, e_hi = min(all_ep), max(all_ep)
@@ -356,4 +359,4 @@ def emit_loss_curves(runlog, csv_path: Path, svg_path: Path) -> None:
     body.append(f'<text x="6" y="{top + 8}">{hi:.2f}</text>')
     body.append(f'<text x="6" y="{top + chart_h}">{lo:.2f}</text>')
     body.append(f'<text x="{left}" y="{height - 8}">epoch {e_lo}..{e_hi}</text>')
-    Path(svg_path).write_text(_svg(width, height, body))
+    write_atomic(svg_path, _svg(width, height, body))

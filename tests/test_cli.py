@@ -234,6 +234,17 @@ class TestEndToEnd:
         assert stamp["model"]["pe_kind"] == "sinpe"
         assert stamp["train"]["epochs"] == 1
 
+    def test_stamp_records_each_stages_wall_clock(self, tmp_path, capsys, micro_config):
+        out = tmp_path / "exp"
+        code, _, err = run(capsys, "run-experiment", "coper-default", "--seeds", "1,3",
+                           "--out", str(out), "--config", micro_config, "--epochs", "1")
+        assert code == 0, err
+        stamp = json.loads((out / "stamp.json").read_text())
+        assert stamp["gen_s"] > 0 and stamp["verify_s"] > 0
+        for stage in ("train_s", "eval_s"):
+            assert stamp[stage].keys() == {"1", "3"}
+            assert all(s > 0 for s in stamp[stage].values())
+
     @pytest.mark.parametrize("flag, message", [("--epochs", "epochs"), ("--layers", "n_layers")])
     def test_zero_override_fails_validation(self, tmp_path, capsys, flag, message):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "d"),

@@ -486,9 +486,17 @@ ATOMIC_WRITERS = {
     "runlog.csv": ("run/runlog.csv", _write_runlog),
     "runlog.json": ("run/runlog.json", _write_runlog),
     "gen stamp.json": ("gen/stamp.json", _gen),
+    "gen manifest.json": ("gen/manifest.json", _gen),
+    "gen train.jsonl": ("gen/train.jsonl", _gen),
     "eval report.json": ("eval/report.json", _eval),
+    "eval heatmap.csv": ("eval/heatmap.csv", _eval),
+    "eval heatmap.svg": ("eval/heatmap.svg", _eval),
+    "eval categories.csv": ("eval/categories.csv", _eval),
+    "eval categories.svg": ("eval/categories.svg", _eval),
     "run-experiment report.json": ("exp/seed_1/report.json", _experiment),
     "run-experiment summary.json": ("exp/summary.json", _experiment),
+    "run-experiment curves.csv": ("exp/seed_1/curves.csv", _experiment),
+    "run-experiment curves.svg": ("exp/seed_1/curves.svg", _experiment),
 }
 
 
