@@ -39,7 +39,6 @@ def _write_stamp(out_dir: Path, args: argparse.Namespace, extra: dict | None = N
         "command": " ".join(args.argv),
         "profile": getattr(args, "profile", None),
         "seed": getattr(args, "seed", None),
-        "scale": getattr(args, "scale", None),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:
@@ -78,7 +77,7 @@ def _config_section(current, name: str, section):
 
 
 def _resolve(args: argparse.Namespace):
-    """Profile + scale + config file + flags -> (profile, ProfileSettings).
+    """Profile + config file + flags -> (profile, ProfileSettings).
 
     Precedence (lowest to highest): profile defaults, config file sections
     ('policy', 'counts', 'task_params', 'answer_cap', 'model', 'train'),
@@ -93,7 +92,7 @@ def _resolve(args: argparse.Namespace):
         profile = get_profile(args.profile)
     except KeyError as exc:
         raise ValidationFailure(str(exc)) from exc
-    settings = profile.settings(args.scale)
+    settings = profile.desk
     cfg = _load_config_file(getattr(args, "config", None))
 
     for name in ("policy", "task_params", "model", "train"):
@@ -132,12 +131,11 @@ def _cmd_gen(args) -> int:
 
     profile, settings = _resolve(args)
     out = Path(args.out)
-    data_dir = out / "data" if args.nested else out
-    manifest = build_dataset(profile.rule, settings.policy, settings.counts, args.seed, data_dir,
+    manifest = build_dataset(profile.rule, settings.policy, settings.counts, args.seed, out,
                              answer_policy=settings.answer_policy, task_params=settings.task_params)
     _write_stamp(out, args)
     total = sum(manifest.counts.values())
-    print(f"wrote {total} records across {len(manifest.files)} splits to {data_dir}")
+    print(f"wrote {total} records across {len(manifest.files)} splits to {out}")
     return 0
 
 
@@ -252,7 +250,7 @@ def _cmd_run_experiment(args) -> int:
     from .training import train
 
     profile, settings = _resolve(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    seeds = args.seeds or [args.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_dir = out / "data"
@@ -296,7 +294,7 @@ def _cmd_run_experiment(args) -> int:
         mean_acc[key] = sum(v / len(vals) for v in vals) if vals else None
     emit_category_bar(named_reports, out / "categories.csv", out / "categories.svg")
     _write_json(out / "summary.json",
-                {"profile": profile.name, "scale": args.scale, "seeds": seeds, "mean": mean_acc})
+                {"profile": profile.name, "seeds": seeds, "mean": mean_acc})
     _write_stamp(out, args, {"model": asdict(settings.model), "train": asdict(settings.train), **times})
     print(f"profile {profile.name}: mean id {_fmt(mean_acc['id_accuracy'])} "
           f"hollow {_fmt(mean_acc['hollow_accuracy'])} "
@@ -304,16 +302,25 @@ def _cmd_run_experiment(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seed_list(text: str) -> list[int]:
+    """argparse type of a comma-separated list of distinct seeds."""
+    seeds = [_seed(s) for s in text.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {text!r}")
+    return seeds
+
+
 def _add_profile_flags(p: argparse.ArgumentParser, profile_flag: bool = True):
     if profile_flag:
         p.add_argument("--profile", default="coper-default", help="experiment profile name")
     p.add_argument("--config", help="JSON file overriding profile fields; flags beat the file")
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--desk", dest="scale", action="store_const", const="desk",
-                       help="desk-scale settings (default)")
-    scale.add_argument("--paper", dest="scale", action="store_const", const="paper",
-                       help="full published protocol settings")
-    p.set_defaults(scale="desk")
     p.add_argument("--pe", choices=["rope", "sinpe", "none"], help="positional encoding override")
     p.add_argument("--layers", type=int, help="layer-count override")
     p.add_argument("--epochs", type=int, help="epoch-count override")
@@ -328,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build a dataset from a profile")
     _add_profile_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--nested", action="store_true", help="write to OUT/data instead of OUT")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("verify", help="re-derive every record of a built dataset")
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_train)
 
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["rope-counterexample", "rope-invariance", "scaled-premise"])
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-period", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("plot", help="render CSV artifacts to SVG")
@@ -368,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-experiment", help="gen + verify + train + eval, one command")
     p.add_argument("profile", help="experiment profile name")
     _add_profile_flags(p, profile_flag=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="comma-separated seed list (overrides --seed)")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seeds", type=_seed_list, help="comma-separated seed list (overrides --seed)")
     p.add_argument("--out", required=True)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_run_experiment)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -100,16 +101,6 @@ class SplitPolicy:
         for p1, p2 in self.hollow:
             if not (self.train_lo <= p1 <= self.train_hi and self.train_lo <= p2 <= self.train_hi):
                 raise InfeasiblePolicy(f"hollow pair ({p1}, {p2}) outside the training range")
-
-    @staticmethod
-    def block(lo: int, hi: int) -> tuple:
-        """Expand a square block [lo, hi]^2 into its sorted pairs."""
-        return tuple((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
-
-    @classmethod
-    def default(cls) -> "SplitPolicy":
-        """Training periods [4, 14] inside [2, 16], hollow block [8, 11]^2."""
-        return cls(4, 14, 2, 16, cls.block(8, 11))
 
 
 def classify_pair(p1: int, p2: int, policy: SplitPolicy) -> PairClass:
@@ -468,6 +459,10 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
+# Any character a record may not hold: the codec could not encode it.
+_FOREIGN = re.compile(f"[^{re.escape(codec.CHARS)}]")
+
+
 def _text_minimal_period(text: str) -> int:
     n = len(text)
     for d in range(1, n + 1):
@@ -528,6 +523,10 @@ def _check_record(rec: SampleRecord, manifest: DatasetManifest) -> str | None:
     rule, modulus = rec.rule, manifest.modulus
     if rule is not manifest.rule:
         return f"rule {rule.value} does not match manifest rule {manifest.rule.value}"
+    for text in (rec.input_text, rec.target_text):
+        foreign = _FOREIGN.search(text)
+        if foreign:
+            return f"character {foreign.group()!r} at offset {foreign.start()} is not in the vocabulary"
 
     if rule is ComposeRule.SINE:
         if not rec.input_text.endswith("=") or len(rec.input_text) != 11:

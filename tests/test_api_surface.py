@@ -7,12 +7,14 @@ A name N defined in `src/coper/M.py` counts as used when `src/coper/` or
   through a re-export of `coper/__init__.py`);
 - `alias.N`, where `alias` is bound to module M by an import;
 - a bare `N` inside M, outside N's own definition.
+A name that a function binds itself, as a parameter or by assignment, is that
+function's local inside it, not a reference to the module-level name.
 A defaulted parameter of a public function counts as set when a call that
 resolves to the function by the same rules passes it, by keyword or by
 position (a `*args` or `**kwargs` in the call passes every parameter it
 could reach).  The re-exports in `coper/__init__.py` are not uses
-themselves, and the tests are not scanned: a name or a default that only
-tests reach is surface nobody runs.
+themselves, and the tests, `coperbench/test_*.py` among them, are not
+scanned: a name or a default that only tests reach is surface nobody runs.
 """
 
 import ast
@@ -22,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # (module, name) -> why nothing outside the tests needs to refer to it.
 ALLOWED = {
     ("autodiff", "grad_check"): "the tests' reference gradient checker",
+    ("autodiff", "scale"): "only the benchmark's self-test calls it",
+    ("evaluation", "greedy_predictor"): "only the benchmark's self-test calls it",
 }
 # (module, function, parameter) -> why no caller outside the tests sets it.
 ALLOWED_DEFAULTS = {
@@ -46,6 +50,22 @@ def _definitions(tree: ast.Module) -> dict:
         else:
             continue
         out.update({name: node for name in targets if not name.startswith("_")})
+    return out
+
+
+def _locals(tree: ast.Module) -> set:
+    """ids of the Name nodes inside a function that binds their name itself,
+    as a parameter or by assignment anywhere in its body."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                 if a is not None}
+        nodes = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        bound |= {n.id for n in nodes if isinstance(n.ctx, ast.Store)}
+        out |= {id(n) for n in nodes if n.id in bound}
     return out
 
 
@@ -76,7 +96,8 @@ def _scan(root: Path):
     used, calls = set(), []
 
     scanned = [(m, tree, True) for m, tree in trees.items()]
-    scanned += [(None, ast.parse(p.read_text()), False) for p in sorted((root / "coperbench").glob("*.py"))]
+    scanned += [(None, ast.parse(p.read_text()), False) for p in sorted((root / "coperbench").glob("*.py"))
+                if not p.name.startswith("test_")]
     for module, tree, in_package in scanned:
         aliases = {}  # local name -> coper module it is bound to
         names = {}    # local name -> (module, name) it is imported as
@@ -103,10 +124,13 @@ def _scan(root: Path):
         for name, stmt in own.items():
             for sub in ast.walk(stmt):
                 inside[id(sub)] = name
+        local = _locals(tree)
         resolved = {}  # id of an expression -> the (module, name) it refers to
         for node in ast.walk(tree):
+            if id(node) in local:
+                continue
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases):
+                    and node.value.id in aliases and id(node.value) not in local):
                 resolved[id(node)] = (aliases[node.value.id], node.attr)
             elif isinstance(node, ast.Name) and node.id in names:
                 resolved[id(node)] = names[node.id]

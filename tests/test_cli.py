@@ -34,13 +34,16 @@ class TestProfiles:
             "single-period-scaled", "circconv", "addsub", "sine",
         }
 
-    def test_every_profile_resolves_both_scales(self):
+    def test_every_profile_resolves_desk_settings_only(self):
         for name in PROFILES:
-            for scale in ("desk", "paper"):
-                settings = get_profile(name).settings(scale)
-                assert settings.model.d_model >= 16
-                assert settings.train.epochs >= 1
-                assert sum(settings.counts.values()) > 0
+            profile = get_profile(name)
+            settings = profile.desk
+            assert profile.settings("desk") is settings
+            assert settings.model.d_model >= 16
+            assert settings.train.epochs >= 1
+            assert sum(settings.counts.values()) > 0
+            with pytest.raises(ValueError, match="paper"):
+                profile.settings("paper")
 
     def test_unknown_profile(self):
         with pytest.raises(KeyError):
@@ -99,6 +102,12 @@ class TestGenVerify:
         assert code == 0
         assert json.loads((tmp_path / "d" / "stamp.json").read_text())["command"] == " ".join(argv)
 
+    @pytest.mark.parametrize("flag", ["--paper", "--desk", "--nested"])
+    def test_deleted_gen_flag_exits_one(self, tmp_path, capsys, flag):
+        code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), flag)
+        assert code == 1 and flag in err
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_profile_exits_one(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--profile", "bogus", "--out", str(tmp_path / "x"))
         assert code == 1
@@ -150,7 +159,8 @@ class TestEndToEnd:
         assert (out / "categories.csv").exists()
         assert (out / "stamp.json").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["profile"] == "coper-default"
+        assert summary.keys() == {"profile", "seeds", "mean"}
+        assert summary["profile"] == "coper-default" and summary["seeds"] == [1]
         assert "id_accuracy" in summary["mean"]
 
     def test_runlog_and_report_losses_agree(self, tmp_path, capsys, micro_config):
@@ -186,6 +196,18 @@ class TestEndToEnd:
         code, _, _ = run(capsys, "run-experiment", "single-period", "--profile", "coper-default",
                          "--out", str(out), "--config", micro_config)
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seeds", "2,-1"], "argument --seeds: seed must be a non-negative integer, got '-1'"),
+        (["--seed", "-1"], "argument --seed: seed must be a non-negative integer, got '-1'"),
+    ], ids=["negative_in_list", "negative"])
+    def test_run_experiment_rejects_bad_seeds_before_any_work(self, tmp_path, capsys, micro_config,
+                                                              argv, message):
+        out = tmp_path / "exp"
+        code, _, err = run(capsys, "run-experiment", "coper-default", *argv,
+                           "--out", str(out), "--config", micro_config)
+        assert code == 1 and message in err
         assert not out.exists()
 
     def test_run_experiment_is_byte_deterministic(self, tmp_path, capsys, micro_config):

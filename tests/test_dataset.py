@@ -28,11 +28,13 @@ from coper.dataset import (
 )
 
 SMALL_POLICY = SplitPolicy(3, 6, 2, 8, hollow=frozenset({(4, 5), (5, 5)}))
+# The published pair grid: training periods [4, 14] inside [2, 16], hollow block [8, 11]^2.
+PUBLISHED_POLICY = SplitPolicy(4, 14, 2, 16, hollow=[(a, b) for a in range(8, 12) for b in range(8, 12)])
 
 
 class TestClassifyPair:
     def test_default_policy_examples(self):
-        policy = SplitPolicy.default()
+        policy = PUBLISHED_POLICY
         assert classify_pair(8, 9, policy) is PairClass.HOLLOW
         assert classify_pair(4, 14, policy) is PairClass.ID
         assert classify_pair(2, 16, policy) is PairClass.EXTRAPOLATION
@@ -44,12 +46,12 @@ class TestClassifyPair:
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            classify_pair(1, 5, SplitPolicy.default())
+            classify_pair(1, 5, PUBLISHED_POLICY)
 
     def test_default_partition_matches_published_table(self):
         # Train pairs = [4,14]^2 minus [8,11]^2; hollow = [8,11]^2;
         # extrapolation = anything with a coordinate outside [4,14].
-        policy = SplitPolicy.default()
+        policy = PUBLISHED_POLICY
         for p1 in range(2, 17):
             for p2 in range(2, 17):
                 got = classify_pair(p1, p2, policy)
@@ -320,6 +322,8 @@ class TestVerifyRejects:
     """Each verify branch rejects its corrupted record, at its line, with its reason string."""
 
     OPERANDS = "input text is not two aligned exact-period operands"
+    # '⁵'.isdigit() holds, but the codec cannot encode it.
+    FOREIGN = "character '⁵' at offset 0 is not in the vocabulary"
 
     def test_an_operand_of_a_smaller_minimal_period(self, tmp_path):
         build_tiny(tmp_path)
@@ -330,6 +334,27 @@ class TestVerifyRejects:
 
         edit_record(tmp_path / "train.jsonl", 3, edit)
         assert first_reason(tmp_path, 4) == self.OPERANDS
+
+    def test_a_superscript_digit_in_an_operand(self, tmp_path):
+        build_tiny(tmp_path)
+
+        def edit(rec):
+            s1, s2 = rec["input"][:-1].split("+")
+            rec["input"] = f"{s1.replace(s1[0], '⁵')}+{s2}="
+
+        edit_record(tmp_path / "train.jsonl", 3, edit)
+        assert first_reason(tmp_path, 4) == self.FOREIGN
+
+    def test_a_superscript_digit_in_a_continuation(self, tmp_path):
+        # Renamed alike in prompt and target, the record keeps every period.
+        build_tiny(tmp_path, rule=ComposeRule.SINGLE_PERIOD)
+
+        def edit(rec):
+            digit = rec["input"][0]
+            rec["input"], rec["target"] = (rec[k].replace(digit, "⁵") for k in ("input", "target"))
+
+        edit_record(tmp_path / "test_id.jsonl", 2, edit)
+        assert first_reason(tmp_path, 3) == self.FOREIGN
 
     def test_operands_longer_than_the_lcm(self, tmp_path):
         build_tiny(tmp_path)
@@ -425,7 +450,7 @@ GOLDEN_SHA256 = {
 
 def build_golden(name, out_dir):
     profile = PROFILES[name]
-    settings = profile.settings("desk")
+    settings = profile.desk
     counts = {Split.TRAIN: 12, Split.TEST_ID: 4, Split.TEST_HOLLOW: 4, Split.TEST_EXTRAPOLATION: 4}
     if settings.policy is None:  # sine has no hollow split
         del counts[Split.TEST_HOLLOW]

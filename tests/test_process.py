@@ -62,7 +62,7 @@ from coper import autodiff as ad
 from coper.model import Transformer
 from coper.profiles import get_profile
 
-model = Transformer(get_profile("single-period").settings("desk").model)
+model = Transformer(get_profile("single-period").desk.model)
 rng = np.random.default_rng(0)
 tokens = rng.integers(0, model.config.vocab_size, (64, 43))
 labels = rng.integers(0, model.config.vocab_size, (64, 43))

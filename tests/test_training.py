@@ -301,14 +301,12 @@ class TestMultiSeed:
         assert summary["seeds"] == [9]
         assert summary["mean"] == self.reports(out, [9])[0]
 
-    def test_identical_seeds_average_to_each(self, tmp_path):
+    def test_duplicate_seeds_rejected(self, tmp_path, capsys):
+        # Three runs of seed 3 would report a three-seed mean over one seed.
         code, out = self.run(tmp_path, "3,3,3")
-        assert code == 0
-        mean = json.loads((out / "summary.json").read_text())["mean"]
-        (report,) = self.reports(out, [3])
-        assert mean.keys() == report.keys()
-        for k, v in mean.items():
-            assert v == pytest.approx(report[k], rel=1e-12, abs=1e-15)
+        assert code == 1
+        assert "argument --seeds: seeds must be distinct, got '3,3,3'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_three_seeds_three_checkpoints(self, tmp_path):
         code, out = self.run(tmp_path, "1,2,3")
