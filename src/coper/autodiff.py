@@ -18,17 +18,20 @@ Gradient flow is single-threaded per tape; reductions that feed losses
 (softmax normalizers, norms, cross-entropy) accumulate in float64 while the
 bulk matmuls stay in the array dtype so BLAS runs at full speed.
 
-Attention is one fused primitive.  Its forward walks the (batch * heads)
+Attention is one fused primitive, and causal only: it derives both the
+mask, from each query's key slot, and the 1/sqrt(d) scale, from q's last
+dim, so no caller builds either.  Its forward walks the (batch * heads)
 axis in blocks whose score tile is about _ATTENTION_BLOCK_BYTES, builds the
 masked softmax in place in one buffer with float64 row sums, and keeps only
 the per-row log-sum-exp; its backward recomputes each block's probabilities
 from q, k and that log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
 Keys may outnumber queries, which is how a decoding step attends over its
-key/value cache.  Given each row's extent, the real length of a right-padded
-row, and optionally its first, the first query whose output is read, a
-block's tile covers only the query rows [min first, max extent) and the
-keys [0, max extent) of its rows: the read positions are unchanged, and the
-query rows outside that window get zero output and zero gradient.
+key/value cache: per-row offsets place each row's queries at their slots.
+Given each row's extent, the real length of a right-padded row, and
+optionally its first, the first query whose output is read, a block's tile
+covers only the query rows [min first, max extent) and the keys [0, max
+extent) of its rows: the read positions are unchanged, and the query rows
+outside that window get zero output and zero gradient.
 GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
 backward.  No primitive writes into its inputs' arrays.
 """
@@ -230,33 +233,33 @@ def gelu(x: Tensor) -> Tensor:
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, additive_mask: np.ndarray | None = None,
+def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None,
               extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> Tensor:
-    """softmax(scale * q @ k^T + mask) @ v as one op.
+    """Causal softmax(q @ k^T / sqrt(D) + mask) @ v as one op.
 
     q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq,
-    so Sq queries can attend over a longer key cache.  The mask is either
-    shared, broadcasting against the (Sq, Sk) scores, or per row with shape
-    (N, Sq, Sk); it may contain -inf to zero positions out entirely (each
-    row must keep at least one finite entry).  Rows of the leading axis are
-    processed in blocks, and a per-row mask is sliced with them; the
-    probabilities are never stored, only each score row's log-sum-exp, and
-    backward recomputes them block by block.
+    so Sq queries can attend over a longer key cache.  Query j of row i sits
+    at key slot offsets[i] + j, or at slot j without `offsets`, and sees the
+    keys at slots up to its own; the mask that hides the later keys and the
+    scale 1 / sqrt(D) are derived here, never passed in.  `offsets`, an (N,)
+    int array, must hold values in [0, Sk - Sq].  Rows of the leading axis
+    are processed in blocks; the probabilities are never stored, only each
+    score row's log-sum-exp, and backward recomputes them block by block.
 
     `extents`, an (N,) int array, marks row i's queries and keys at
-    positions >= extents[i] as right padding; it needs Sq == Sk and a shared
-    mask.  Each block then works only on the [:e, :e] corner of its score
-    tile, e being the largest extent among its rows.  Under a causal mask
-    every real position's output and gradients are unchanged; output rows
-    past e are zero, and so are dq, dk and dv there.
+    positions >= extents[i] as right padding; it needs Sq == Sk and no
+    offsets.  Each block then works only on the [:e, :e] corner of its
+    score tile, e being the largest extent among its rows.  Every real
+    position's output and gradients are unchanged; output rows past e are
+    zero, and so are dq, dk and dv there.
 
     `firsts`, an (N,) int array that needs `extents`, marks row i's queries
     before firsts[i] as unread: each must be in [0, extents[i] - 1].  Each
     block's tile then covers only the query rows [f, e), f being the
-    smallest first among its rows, against the keys [0, e).  Under a causal
-    mask the output and gradients of every query in [firsts[i], extents[i])
-    are unchanged as long as the loss reads no query before firsts[i];
-    output rows and dq before f are zero.
+    smallest first among its rows, against the keys [0, e).  The output and
+    gradients of every query in [firsts[i], extents[i]) are unchanged as
+    long as the loss reads no query before firsts[i]; output rows and dq
+    before f are zero.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2]
@@ -264,14 +267,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, additive_mask: np.n
         raise ShapeError(f"cannot attend with q {qd.shape}, k {kd.shape}, v {vd.shape}")
     n, sq, _ = qd.shape
     sk = kd.shape[1]
-    per_row = additive_mask is not None and additive_mask.ndim == 3
-    if per_row and additive_mask.shape != (n, sq, sk):
-        raise ShapeError(f"per-row mask {additive_mask.shape} does not match scores {(n, sq, sk)}")
+    if offsets is not None:
+        offsets = np.asarray(offsets)
+        if offsets.shape != (n,) or offsets.min() < 0 or offsets.max() > sk - sq:
+            raise ShapeError(f"offsets must be {n} values in [0, {sk - sq}]")
     if extents is not None:
         extents = np.asarray(extents)
-        if per_row or sk != sq:
-            raise ShapeError(f"extents need square scores and a shared mask, got q {qd.shape}, "
-                             f"k {kd.shape}" + (" and a per-row mask" if per_row else ""))
+        if offsets is not None or sk != sq:
+            raise ShapeError(f"extents need square scores and no offsets, got q {qd.shape}, k {kd.shape}")
         if extents.shape != (n,) or extents.min() < 1 or extents.max() > sq:
             raise ShapeError(f"extents must be {n} values in [1, {sq}]")
     if firsts is not None:
@@ -280,9 +283,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, additive_mask: np.n
             raise ShapeError("firsts need extents")
         if firsts.shape != (n,) or ((firsts < 0) | (firsts >= extents)).any():
             raise ShapeError(f"firsts must be {n} values, each in [0, its row's extent - 1]")
-    shared = None if additive_mask is None or per_row else np.broadcast_to(additive_mask, (sq, sk))
     dtype = qd.dtype
-    scale = float(scale)
+    scale = float(1.0 / np.sqrt(qd.shape[-1]))
+    slot, own = np.arange(sk), np.arange(sq)[:, None]  # key slots; each query's own without offsets
+    if offsets is None:  # one additive 0 / -inf tile, shared by every row
+        mask = np.where(slot > own, -np.inf, 0.0).astype(dtype)
     step = max(1, _ATTENTION_BLOCK_BYTES // (sq * sk * dtype.itemsize))
     # (lo, hi, fq, eq, ek): each block's rows, its tile's query rows [fq, eq)
     # and its keys [0, ek); without `extents` these are [0, Sq) and Sk, with
@@ -301,10 +306,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, additive_mask: np.n
         sc = buf[:(hi - lo) * (eq - fq) * ek].reshape(hi - lo, eq - fq, ek)
         np.matmul(qd[lo:hi, fq:eq], _swap_last(kd[lo:hi, :ek]), out=sc)
         sc *= scale
-        if per_row:
-            sc += additive_mask[lo:hi]
-        elif shared is not None:
-            sc += shared[fq:eq, :ek]
+        if offsets is None:
+            sc += mask[fq:eq, :ek]
+        else:  # query j of row i sees the keys up to slot offsets[i] + j
+            np.copyto(sc, -np.inf, where=slot > offsets[lo:hi, None, None] + own)
         return sc
 
     for lo, hi, fq, eq, ek in blocks:

@@ -309,6 +309,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """argparse type of a count that must do some work: a positive integer."""
+    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _seed_list(text: str) -> list[int]:
     """argparse type of a comma-separated list of distinct seeds."""
     seeds = [_seed(s) for s in text.split(",")]
@@ -360,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="print algebraic witnesses as JSON")
     p.add_argument("target", choices=["rope-counterexample", "rope-invariance", "scaled-premise"])
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-period", type=int, default=64)
+    p.add_argument("--trials", type=_positive, default=1000)
+    p.add_argument("--max-period", type=_positive, default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_analyze)
 

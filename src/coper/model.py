@@ -13,8 +13,8 @@ cache.  That code packs the real tokens of right-padded rows into one
 sequence for every per-token op; only attention and the cache see the
 padded (row, slot) layout.  A caller that reads each row's logits only from
 a first position on says so, and the last layer then runs its queries,
-attention rows, feed-forward and head only on the read tokens: under the
-causal mask nothing else reads a last-layer output.  `decode` is the one
+attention rows, feed-forward and head only on the read tokens: attention
+is causal, so nothing else reads a last-layer output.  `decode` is the one
 greedy decoder.  It runs one causal forward over right-padded rows whose
 prompts end at per-row start positions; that forward's logits, read from
 each prompt's last token on, serve any answer-only teacher-forced scoring
@@ -162,13 +162,9 @@ class Transformer:
             self._sinpe = self._sinpe.astype(dtype)
         return self
 
-    def _causal_mask(self, s: int) -> np.ndarray:
-        mask = np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
-        return mask.astype(self.embedding.data.dtype)
-
     def forward(self, tokens: np.ndarray, extents: np.ndarray | None = None,
                 firsts: np.ndarray | None = None) -> ad.Tensor:
-        """Logits of shape (batch, length, vocab) under causal masking.
+        """Logits of shape (batch, length, vocab) of the causal forward.
 
         `extents` (batch,) marks row i's tokens from extents[i] on as right
         padding; each must be in [1, length].  Every per-token op runs only
@@ -204,7 +200,7 @@ class Transformer:
             if bad.size:
                 i = bad[0]
                 raise LengthError(f"first {firsts[i]} of row {i} is outside [0, {extents[i] - 1}]")
-        return self._run(tokens, slice(0, s), self._causal_mask(s), None, extents, firsts)
+        return self._run(tokens, slice(0, s), None, extents, firsts)
 
     def _checked(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
@@ -214,7 +210,7 @@ class Transformer:
             raise LengthError(f"length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
         return tokens
 
-    def _run(self, tokens: np.ndarray, positions, mask: np.ndarray, cache: list | None = None,
+    def _run(self, tokens: np.ndarray, positions, cache: list | None = None,
              extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> ad.Tensor:
         """The layer stack over `tokens` (B, S) at absolute `positions`.
 
@@ -233,18 +229,18 @@ class Transformer:
         and its normed copy; the last layer's keys and values still cover
         every real token, and everything from its queries on runs on the
         read tokens only.
-        Without a cache, queries attend to the keys of `tokens` themselves.
-        `cache` is a list of per-layer (keys, values) arrays of shape
-        (B * H, slots, d_head).  Given empty, it receives each layer's own
-        rotated key and value tiles, so a full forward fills it without a
-        copy.  Given full, each layer first writes its rotated keys and
-        values at `positions`, and the queries then attend over cache slots
-        [0, mask.shape[-1]).
+        Without a cache, each query attends to the keys of `tokens` up to
+        its own slot.  `cache` is a list of per-layer (keys, values) arrays
+        of shape (B * H, slots, d_head).  Given empty, it receives each
+        layer's own rotated key and value tiles, so a full forward fills it
+        without a copy.  Given full, each layer first writes its rotated
+        keys and values at `positions`, whose rows must be runs of
+        consecutive slots, and each query then attends over its row's cache
+        slots up to its own position.
         """
         cfg = self.config
         h = cfg.n_heads
         b, s = tokens.shape
-        inv_sqrt = 1.0 / np.sqrt(cfg.d_head)
         if isinstance(positions, slice):
             positions = np.tile(np.arange(cfg.max_seq_len)[positions], (b, 1))
         # The packing: row and slot of each real token, and for each of its
@@ -258,8 +254,10 @@ class Transformer:
         if cfg.pe_kind is PeKind.ROPE:
             cos, sin = np.take(self._rope_cos, pos, axis=0), np.take(self._rope_sin, pos, axis=0)
         head_extents = None if extents is None else np.repeat(extents, h)
-        if cache:  # each layer writes its keys and values at `positions`
+        offsets = None
+        if cache:  # each layer writes its keys and values at `positions`, where its queries sit
             written = (np.arange(b * h)[:, None], np.repeat(positions, h, axis=0))
+            width, offsets = positions.max() + 1, np.repeat(positions[:, 0], h)
         # The packed indices of the tokens whose last-layer outputs are read;
         # None when every real token is.
         read = None if firsts is None or not firsts.any() else np.flatnonzero(cols >= firsts[rows])
@@ -291,9 +289,8 @@ class Transformer:
             elif cache is not None:
                 keys, values = cache[layer]
                 keys[written], values[written] = k.data, v.data
-                width = mask.shape[-1]
                 k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
-            o = ad.merge_heads(ad.attention(q, k, v, inv_sqrt, mask, head_extents, q_firsts), q_slots)
+            o = ad.merge_heads(ad.attention(q, k, v, offsets, head_extents, q_firsts), q_slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
@@ -343,21 +340,16 @@ class Transformer:
         if last.max() >= s:
             raise LengthError(f"tokens of length {s} cannot hold slot {last.max()}")
         cache = []
-        logits = self._run(tokens, slice(0, s), self._causal_mask(s), cache, last + 1, starts - 1).data
+        logits = self._run(tokens, slice(0, s), cache, last + 1, starts - 1).data
         answers = np.zeros((b, int(lengths.max())), dtype=np.int64)
         answers[:, 0] = logits[np.arange(b), starts - 1].argmax(axis=-1)
-        dtype = self.embedding.data.dtype
         h = cfg.n_heads
-        slot = np.arange(s)
         for step in range(1, answers.shape[1]):
             live = np.flatnonzero(lengths > step)
             lo, hi = live[0], live[-1] + 1  # the span of rows still decoding
             pos = np.minimum(starts[lo:hi] + (step - 1), last[lo:hi])  # where each row's newest token sits
-            head_pos = np.repeat(pos, h)
-            width = int(pos.max()) + 1
-            mask = np.where(slot[None, None, :width] > head_pos[:, None, None], -np.inf, 0.0).astype(dtype)
             span = [(keys[lo * h:hi * h], values[lo * h:hi * h]) for keys, values in cache]
-            step_logits = self._run(answers[lo:hi, step - 1:step], pos[:, None], mask, span).data
+            step_logits = self._run(answers[lo:hi, step - 1:step], pos[:, None], span).data
             answers[lo:hi, step] = np.where(lengths[lo:hi] > step, step_logits[:, 0].argmax(axis=-1), 0)
         return logits, answers
 

@@ -66,7 +66,7 @@ def _counts(train, test_id, hollow, extra) -> dict:
 # with 10-digit answers, 4 scaled blocks of values in [1, 4] doubling each
 # block, and sine inputs with |x| <= 3 pi in distribution, up to 6 pi beyond.
 _DESK_MODEL = ModelConfig(d_model=64, n_heads=4, n_layers=2)
-_DESK_TRAIN = TrainConfig(batch_size=64, learning_rate=3e-4, epochs=30, eval_every=3)
+_DESK_TRAIN = TrainConfig()
 
 # Reduced pair grid used by every desk-scale composite task: periods [3, 9]
 # for training with hollows {(5,6), (6,6)}, extrapolation out to [2, 11].

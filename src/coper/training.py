@@ -39,15 +39,15 @@ class LossRegion(str, Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 32
-    learning_rate: float = 1e-5
+    batch_size: int = 64
+    learning_rate: float = 3e-4
     weight_decay: float = 0.01
-    epochs: int = 450
+    epochs: int = 30
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     loss_region: LossRegion = LossRegion.ANSWER_ONLY
-    eval_every: int = 1
+    eval_every: int = 3
     seed: int = 0
 
     def __post_init__(self):

@@ -12,21 +12,23 @@ def rand64(rng, *shape, grad=True):
     return t64(rng.standard_normal(shape), grad=grad)
 
 
-def causal_mask(s):
-    return np.where(np.arange(s)[None, :] > np.arange(s)[:, None], -np.inf, 0.0)
-
-
-def per_row_mask(last_slot, sk):
-    """(N, Sq, Sk) additive mask; query j of row i sees key slots 0..last_slot[i][j]."""
-    last = np.asarray(last_slot)
-    return np.where(np.arange(sk)[None, None, :] > last[:, :, None], -np.inf, 0.0)
-
-
-def attention_probs(q, k, scale=1.0, mask=None):
+def attention_probs(q, k):
     """The softmax inside `attention`, read out by attending to identity values."""
     n, s, _ = q.shape
     eye = ad.Tensor(np.broadcast_to(np.eye(s, dtype=q.dtype), (n, s, s)).copy())
-    return ad.attention(q, k, eye, scale, mask).data
+    return ad.attention(q, k, eye).data
+
+
+def reference_attention(q, k, v, offsets=None):
+    """softmax(q k^T / sqrt(D) + causal) v in float64; query j of row i sits
+    at key slot offsets[i] + j, or at slot j without offsets."""
+    n, sq, d = q.shape
+    own = np.zeros(n, int)[:, None] if offsets is None else np.asarray(offsets)[:, None]
+    hidden = np.arange(k.shape[1]) > (own + np.arange(sq))[..., None]
+    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1) / np.sqrt(d)
+    scores[hidden] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True) @ v.astype(np.float64)
 
 
 class TestTensor:
@@ -82,20 +84,21 @@ class TestForwardSemantics:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         q, k = (ad.Tensor(rng.standard_normal((4, 16, 8)).astype(np.float32)) for _ in range(2))
-        p = attention_probs(q, k, scale=3.0)
+        q.data *= 3.0 * np.sqrt(8)  # scores three times q.k, as large as a scale of 3 made them
+        p = attention_probs(q, k)
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_softmax_mask_zeroes_positions(self):
         q = ad.Tensor(np.zeros((2, 3, 4), dtype=np.float32))
         k = ad.Tensor(np.ones((2, 3, 4), dtype=np.float32))
-        p = attention_probs(q, k, mask=causal_mask(3).astype(np.float32))
+        p = attention_probs(q, k)
         assert np.allclose(p[:, 0], [1.0, 0.0, 0.0])
         assert np.allclose(p[:, 2], [1 / 3, 1 / 3, 1 / 3])
 
     def test_attention_shape_error_names_shapes(self):
         q = ad.Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(ad.ShapeError) as err:
-            ad.attention(q, ad.Tensor(np.zeros((2, 5, 4))), q, 1.0)
+            ad.attention(q, ad.Tensor(np.zeros((2, 5, 4))), q)
         assert "(2, 5, 4)" in str(err.value)
 
     def test_cross_entropy_confident_correct_is_near_zero(self):
@@ -212,23 +215,23 @@ class TestGradCheckPrimitives:
         self.check(f, [a, w])
 
     def test_softmax(self):
+        # An odd head dim: the derived scale 1 / sqrt(3) is not a power of two.
         rng = np.random.default_rng(16)
         q, k, v = rand64(rng, 2, 4, 3), rand64(rng, 2, 4, 3), rand64(rng, 2, 4, 5)
-        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.7), np.ones((2, 4), int), np.ones((2, 4)))
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v), np.ones((2, 4), int), np.ones((2, 4)))
         self.check(f, [q, k, v])
 
     def test_softmax_with_causal_mask(self):
         rng = np.random.default_rng(17)
         q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
-        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, causal_mask(5)),
-                                     np.ones((3, 5), int), np.ones((3, 5)))
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v), np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
-    def test_attention_over_longer_keys_with_per_row_mask(self):
+    def test_attention_over_longer_keys_with_offsets(self):
+        # Row i's two queries sit at key slots offsets[i] and offsets[i] + 1.
         rng = np.random.default_rng(19)
         q, k, v = rand64(rng, 3, 2, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
-        mask = per_row_mask([[2, 3], [3, 4], [1, 2]], 5)
-        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, mask),
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, np.array([2, 3, 1])),
                                      np.ones((3, 2), int), np.ones((3, 2)))
         self.check(f, [q, k, v])
 
@@ -237,7 +240,7 @@ class TestGradCheckPrimitives:
         # past a block's extent are constant zero and padded keys are unseen.
         rng = np.random.default_rng(22)
         q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
-        f = lambda: ad.cross_entropy(ad.attention(q, k, v, 0.5, causal_mask(5), np.array([2, 5, 3])),
+        f = lambda: ad.cross_entropy(ad.attention(q, k, v, extents=np.array([2, 5, 3])),
                                      np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
@@ -248,7 +251,7 @@ class TestGradCheckPrimitives:
         rng = np.random.default_rng(23)
         q, k, v = rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
         f = lambda: ad.cross_entropy(
-            ad.attention(q, k, v, 0.5, causal_mask(5), np.array([2, 5, 4]), np.array([1, 3, 2])),
+            ad.attention(q, k, v, extents=np.array([2, 5, 4]), firsts=np.array([1, 3, 2])),
             np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
@@ -273,7 +276,7 @@ class TestGradCheckPrimitives:
         def f():
             r = ad.rope_rotate(a, cos[cols], sin[cols])  # (1, 5, 8)
             h = ad.split_heads(r, slots, (4, 3))          # (4, 3, 4)
-            o = ad.attention(h, h, h, 1.0, causal_mask(3), np.array([3, 3, 2, 2]))
+            o = ad.attention(h, h, h, extents=np.array([3, 3, 2, 2]))
             m = ad.merge_heads(o, slots)                  # (1, 5, 8)
             return ad.cross_entropy(ad.matmul(ad.matmul(m, rand_w), w),
                                     np.ones((1, 5), int), np.ones((1, 5)))
@@ -308,16 +311,16 @@ def test_forward_determinism():
 
     def f():
         h = ad.matmul(ad.gelu(x), w)
-        return ad.attention(h, h, h, 0.25, causal_mask(8).astype(np.float32)).data
+        return ad.attention(h, h, h).data
 
     assert np.array_equal(f(), f())
 
 
-def _attention_run(q, k, v, mask, extents=None, loss_mask=None, firsts=None):
+def _attention_run(q, k, v, extents=None, loss_mask=None, firsts=None):
     for t in (q, k, v):
         t.grad = None
     with ad.Tape() as tape:
-        out = ad.attention(q, k, v, 0.35, mask, extents, firsts)
+        out = ad.attention(q, k, v, extents=extents, firsts=firsts)
         loss_mask = np.ones(out.shape[:2]) if loss_mask is None else loss_mask
         loss = ad.cross_entropy(out, np.zeros(out.shape[:2], int), loss_mask)
     tape.backward(loss)
@@ -329,31 +332,41 @@ def test_attention_blocks_agree_with_one_block(monkeypatch):
     n, s = 7, 11
     q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
                for _ in range(3))
-    mask = causal_mask(s).astype(np.float32)
     assert ad._ATTENTION_BLOCK_BYTES >= n * s * s * 4
-    whole = _attention_run(q, k, v, mask)
+    whole = _attention_run(q, k, v)
     # Three rows per block: blocks of 3, 3 and a ragged 1.
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
-    blocked = _attention_run(q, k, v, mask)
+    blocked = _attention_run(q, k, v)
     for a, b in zip(whole, blocked):
         np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
 
 
 def test_attention_over_longer_keys_matches_float64_reference(monkeypatch):
     # Decoding's shape: a few queries per row over a longer key cache, each
-    # row masked at its own last slot, across several blocks.
+    # row's queries at its own offset, across several blocks.
     rng = np.random.default_rng(33)
     n, sq, sk = 7, 2, 9
     q, k, v = (rng.standard_normal(shape).astype(np.float32)
                for shape in ((n, sq, 8), (n, sk, 8), (n, sk, 5)))
-    last = rng.integers(0, sk - 1, size=(n, 1)) + np.arange(sq)
-    mask = per_row_mask(last, sk)
-    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1) * 0.35 + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    expect = e / e.sum(axis=-1, keepdims=True) @ v.astype(np.float64)
+    offsets = rng.integers(0, sk - sq + 1, size=n)
+    assert offsets.min() == 0 and offsets.max() == sk - sq  # both ends of the range
+    expect = reference_attention(q, k, v, offsets)
     for block_rows in (n, 3):
         monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_rows * sq * sk * 4)
-        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 0.35, mask.astype(np.float32))
+        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), offsets)
+        np.testing.assert_allclose(out.data, expect, rtol=1e-5, atol=1e-6)
+
+
+def test_attention_over_square_scores_matches_float64_reference(monkeypatch):
+    # Training's shape: without offsets query j sees keys 0..j, and 1 / sqrt(D)
+    # scales the scores, across several blocks.
+    rng = np.random.default_rng(36)
+    n, s = 7, 6
+    q, k, v = (rng.standard_normal(shape).astype(np.float32) for shape in ((n, s, 8), (n, s, 8), (n, s, 5)))
+    expect = reference_attention(q, k, v)
+    for block_rows in (n, 3):
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_rows * s * s * 4)
+        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v))
         np.testing.assert_allclose(out.data, expect, rtol=1e-5, atol=1e-6)
 
 
@@ -362,14 +375,13 @@ def test_attention_extents_leave_every_real_position_unchanged(monkeypatch):
     n, s = 7, 11
     q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
                for _ in range(3))
-    mask = causal_mask(s).astype(np.float32)
     extents = np.array([3, 11, 5, 2, 9, 7, 4])
     real = np.arange(s)[None, :] < extents[:, None]
     # The loss reads only real positions, so the untrimmed gradients are zero on padding.
-    whole = _attention_run(q, k, v, mask, loss_mask=real)
+    whole = _attention_run(q, k, v, loss_mask=real)
     # Blocks of 3, 3 and 1 rows: the first two straddle rows of different extents.
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
-    trimmed = _attention_run(q, k, v, mask, extents, loss_mask=real)
+    trimmed = _attention_run(q, k, v, extents, loss_mask=real)
     np.testing.assert_allclose(trimmed[0][real], whole[0][real], rtol=1e-6, atol=1e-7)
     for a, b in zip(whole[1:], trimmed[1:]):
         np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
@@ -377,7 +389,7 @@ def test_attention_extents_leave_every_real_position_unchanged(monkeypatch):
         assert not d[~real].any()
     # With one row per block, each block's extent is its row's: padded output rows are zero.
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", s * s * 4)
-    alone = _attention_run(q, k, v, mask, extents)
+    alone = _attention_run(q, k, v, extents)
     assert not alone[0][~real].any()
     np.testing.assert_allclose(alone[0][real], whole[0][real], rtol=1e-6, atol=1e-7)
 
@@ -387,22 +399,21 @@ def test_attention_firsts_leave_every_read_position_unchanged(monkeypatch):
     n, s = 7, 11
     q, k, v = (ad.Tensor(rng.standard_normal((n, s, 8)).astype(np.float32), requires_grad=True)
                for _ in range(3))
-    mask = causal_mask(s).astype(np.float32)
     extents = np.array([3, 11, 5, 2, 9, 7, 4])
     firsts = np.array([2, 4, 0, 1, 8, 3, 3])
     slot = np.arange(s)[None, :]
     read = (slot >= firsts[:, None]) & (slot < extents[:, None])
     # Blocks of 3, 3 and 1 rows: the first two hold rows of different windows.
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * s * s * 4)
-    whole = _attention_run(q, k, v, mask, extents, loss_mask=read)
-    windowed = _attention_run(q, k, v, mask, extents, loss_mask=read, firsts=firsts)
+    whole = _attention_run(q, k, v, extents, loss_mask=read)
+    windowed = _attention_run(q, k, v, extents, loss_mask=read, firsts=firsts)
     np.testing.assert_allclose(windowed[0][read], whole[0][read], rtol=1e-6, atol=1e-7)
     for a, b in zip(whole[1:], windowed[1:]):
         np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-7)
     assert not windowed[1][slot < firsts[:, None]].any()  # dq of unread queries
     # With one row per block, each tile is its row's window: unread output rows are zero.
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", s * s * 4)
-    alone = _attention_run(q, k, v, mask, extents, loss_mask=read, firsts=firsts)
+    alone = _attention_run(q, k, v, extents, loss_mask=read, firsts=firsts)
     assert not alone[0][~read].any()
     np.testing.assert_allclose(alone[0][read], whole[0][read], rtol=1e-6, atol=1e-7)
 
@@ -410,45 +421,51 @@ def test_attention_firsts_leave_every_read_position_unchanged(monkeypatch):
 def test_attention_rejects_firsts_without_extents():
     q = ad.Tensor(np.zeros((2, 3, 4)))
     with pytest.raises(ad.ShapeError, match="firsts need extents"):
-        ad.attention(q, q, q, 1.0, None, None, np.array([0, 1]))
+        ad.attention(q, q, q, firsts=np.array([0, 1]))
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 2], [0, 3], [0], [[0, 1]]])
 def test_attention_rejects_a_first_outside_its_rows_extent(bad):
     q = ad.Tensor(np.zeros((2, 3, 4)))
     with pytest.raises(ad.ShapeError, match="firsts must be 2 values"):
-        ad.attention(q, q, q, 1.0, None, np.array([3, 2]), np.array(bad))
+        ad.attention(q, q, q, extents=np.array([3, 2]), firsts=np.array(bad))
 
 
-def test_attention_rejects_a_bad_extent_unequal_lengths_or_a_row_mask():
+def test_attention_rejects_a_bad_extent_unequal_lengths_or_offsets():
     q = ad.Tensor(np.zeros((2, 3, 4)))
     for bad in ([0, 3], [1, 4], [3], [[1, 2]]):
         with pytest.raises(ad.ShapeError, match="extents"):
-            ad.attention(q, q, q, 1.0, None, np.array(bad))
+            ad.attention(q, q, q, extents=np.array(bad))
     longer = ad.Tensor(np.zeros((2, 5, 4)))
     with pytest.raises(ad.ShapeError, match="extents"):
-        ad.attention(q, longer, longer, 1.0, None, np.array([3, 3]))
-    with pytest.raises(ad.ShapeError, match="extents"):
-        ad.attention(q, q, q, 1.0, np.zeros((2, 3, 3)), np.array([3, 3]))
+        ad.attention(q, longer, longer, extents=np.array([3, 3]))
+    with pytest.raises(ad.ShapeError, match="extents need square scores and no offsets"):
+        ad.attention(q, q, q, np.array([0, 0]), np.array([3, 3]))
 
 
-def test_attention_rejects_fewer_keys_or_a_misshapen_row_mask():
+def test_attention_rejects_fewer_keys():
     q = ad.Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ad.ShapeError):
-        ad.attention(q, ad.Tensor(np.zeros((2, 2, 4))), ad.Tensor(np.zeros((2, 2, 4))), 1.0)
-    with pytest.raises(ad.ShapeError):
-        ad.attention(q, q, q, 1.0, np.zeros((1, 3, 3)))
+    with pytest.raises(ad.ShapeError, match="cannot attend"):
+        ad.attention(q, ad.Tensor(np.zeros((2, 2, 4))), ad.Tensor(np.zeros((2, 2, 4))))
+
+
+@pytest.mark.parametrize("bad", [[-1, 0], [0, 4], [4, 3], [0], [0, 0, 0], [[0, 1]]])
+def test_attention_rejects_bad_offsets(bad):
+    # Two queries over five keys: each offset must be in [0, 3].
+    q, longer = ad.Tensor(np.zeros((2, 2, 4))), ad.Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ad.ShapeError, match=r"offsets must be 2 values in \[0, 3\]"):
+        ad.attention(q, longer, longer, np.array(bad))
 
 
 def test_gelu_and_attention_leave_inputs_unmodified():
     rng = np.random.default_rng(32)
     x, q, k, v = (ad.Tensor(rng.standard_normal((3, 6, 4)).astype(np.float32), requires_grad=True)
                   for _ in range(4))
-    mask = causal_mask(6).astype(np.float32)
-    before = [t.data.copy() for t in (x, q, k, v)] + [mask.copy()]
+    extents, firsts = np.array([6, 4, 5]), np.array([0, 2, 1])
+    before = [a.copy() for a in (x.data, q.data, k.data, v.data, extents, firsts)]
     with ad.Tape() as tape:
-        h = ad.add(ad.gelu(x), ad.attention(q, k, v, 0.5, mask))
+        h = ad.add(ad.gelu(x), ad.attention(q, k, v, extents=extents, firsts=firsts))
         loss = ad.cross_entropy(h, np.zeros((3, 6), int), np.ones((3, 6)))
     tape.backward(loss)
-    for a, b in zip(before, [x.data, q.data, k.data, v.data, mask]):
+    for a, b in zip(before, [x.data, q.data, k.data, v.data, extents, firsts]):
         assert np.array_equal(a, b)

@@ -142,6 +142,20 @@ class TestAnalyze:
         assert code == 0
         assert payload["all_violate"] is True
 
+    @pytest.mark.parametrize("target, flag, value", [
+        ("scaled-premise", "--trials", "0"),
+        ("scaled-premise", "--trials", "-3"),
+        ("rope-invariance", "--trials", "0"),
+        ("rope-invariance", "--max-period", "0"),
+        ("rope-invariance", "--max-period", "-3"),
+    ])
+    def test_non_positive_counts_are_rejected_before_any_work(self, capsys, target, flag, value):
+        # At zero, scaled-premise would print a vacuous "all_violate" over no
+        # cases, and rope-invariance would fail on an empty max().
+        code, stdout, err = run(capsys, "analyze", target, flag, value)
+        assert code == 1 and stdout == ""
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
 
 class TestEndToEnd:
     def test_run_experiment_micro(self, tmp_path, capsys, micro_config):

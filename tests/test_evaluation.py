@@ -213,12 +213,12 @@ class TestFusedEvaluate:
         prefill_firsts = []
         run = Transformer._run
 
-        def counting(self, tokens, positions, mask, cache=None, extents=None, firsts=None):
+        def counting(self, tokens, positions, cache=None, extents=None, firsts=None):
             if isinstance(positions, slice):
                 full_forwards.append(tokens.shape)
                 prefill_extents.append(extents.tolist())
                 prefill_firsts.append(firsts.tolist())
-            return run(self, tokens, positions, mask, cache, extents, firsts)
+            return run(self, tokens, positions, cache, extents, firsts)
 
         monkeypatch.setattr(Transformer, "_run", counting)
         result = evaluate(model, data)

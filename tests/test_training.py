@@ -10,6 +10,7 @@ from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule
 from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
 from coper.model import ModelConfig, Transformer, load_checkpoint
+from coper.profiles import get_profile
 from coper.training import (
     DivergenceError,
     LossRegion,
@@ -96,6 +97,9 @@ class TestEncoding:
 
 
 class TestTraining:
+    def test_defaults_are_the_desk_recipe(self):
+        assert TrainConfig() == get_profile("coper-default").desk.train
+
     def test_overfits_eight_samples(self, tmp_path):
         build_dataset(ComposeRule.MOD_ADD, POLICY, {Split.TRAIN: 8}, 5, tmp_path,
                       answer_policy=AnswerLenPolicy(12))
@@ -119,7 +123,7 @@ class TestTraining:
     def test_embedding_stays_frozen(self, tiny_data):
         model = Transformer(TINY_MODEL)
         before = model.embedding.data.copy()
-        train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=1))
+        train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, eval_every=1, seed=1))
         assert np.array_equal(model.embedding.data, before)
 
     def test_moved_embedding_raises(self, tiny_data, monkeypatch):
@@ -132,7 +136,7 @@ class TestTraining:
 
         monkeypatch.setattr(training.AdamW, "step", step_and_nudge)
         with pytest.raises(RuntimeError, match="frozen embedding"):
-            train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=1, seed=1))
+            train(model, tiny_data, TrainConfig(batch_size=8, learning_rate=1e-3, epochs=1, eval_every=1, seed=1))
 
     def test_runlog_contents(self, tiny_data):
         model = Transformer(TINY_MODEL)
@@ -199,7 +203,7 @@ class TestTraining:
     def test_checkpoint_reload_matches(self, tiny_data, tmp_path):
         model = Transformer(TINY_MODEL)
         train(model, tiny_data,
-              TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=3), out_dir=tmp_path)
+              TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, eval_every=1, seed=3), out_dir=tmp_path)
         loaded, _, _ = load_checkpoint(tmp_path / "model.ckpt")
         tokens = np.arange(12, dtype=np.int64).reshape(1, 12) % 17
         assert np.array_equal(model.forward(tokens).data, loaded.forward(tokens).data)
@@ -265,7 +269,7 @@ class TestRunLog:
     def test_csv_round_trip(self, tiny_data):
         model = Transformer(TINY_MODEL)
         _, runlog = train(model, tiny_data,
-                          TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, seed=5))
+                          TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, eval_every=1, seed=5))
         parsed = RunLog.from_csv_text(runlog.to_csv_text())
         assert [pt.epoch for pt in parsed.points] == [pt.epoch for pt in runlog.points]
         assert parsed.final.split_loss.keys() == runlog.final.split_loss.keys()
