@@ -394,7 +394,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(table.data[ids])
 
 
-def _token_nll(logits: np.ndarray, targets: np.ndarray):
+def token_nll(logits: np.ndarray, targets: np.ndarray):
     """Per-position negative log-likelihood of integer `targets` under `logits`.
 
     Returns (nll, shifted, lse): the float64 losses, the max-shifted logits
@@ -419,7 +419,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
     if n_active <= 0:
         raise ShapeError("cross_entropy needs at least one unmasked position")
 
-    losses, shifted, lse = _token_nll(ld, targets)
+    losses, shifted, lse = token_nll(ld, targets)
     loss = (losses * m).sum() / n_active
 
     def backward(g):

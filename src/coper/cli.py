@@ -2,9 +2,9 @@
 one-shot run-experiment recipes.
 
 Exit codes: 0 success, 1 validation problem (bad flags or config fields,
-unknown profile, failed dataset verification), 2 runtime failure.  The
-COPER_THREADS cap is applied when the `coper` package is imported, before
-this module runs.
+a flag naming a missing file, unknown profile, failed dataset
+verification), 2 runtime failure.  The COPER_THREADS cap is applied when
+the `coper` package is imported, before this module runs.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .composers import gen_scaled_single
-    from .dataset import TaskParams, _sample_exact_period
+    from .dataset import TaskParams, sample_cycle
     from .invariance import (PhaseConfig, check_relative_invariance,
                              invariance_premise_test, rule_periodicity_counterexample)
 
@@ -206,7 +206,7 @@ def _cmd_analyze(args) -> int:
         cases = []
         for _ in range(args.trials):
             period = int(rng.integers(1, 8))
-            cycle = _sample_exact_period(period, 1, params.value_hi, rng)
+            cycle = sample_cycle(period, 1, params.value_hi, rng)
             seq = gen_scaled_single(cycle, 3)
             w = invariance_premise_test(seq, period)
             cases.append({"period": period, "values": list(cycle.values), **asdict(w)})
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:  # a ValueError, but raised by the run, not by its inputs
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures

@@ -14,7 +14,10 @@ from enum import Enum
 
 import numpy as np
 
-from .cycles import InvalidPeriod, InvalidValue, PeriodicCycle, lcm
+from .cycles import InvalidPeriod, PeriodicCycle
+
+# Cycle values of the digit tasks, and their composed answers, live in [0, MODULUS).
+MODULUS = 10
 
 
 class InvalidSpec(ValueError):
@@ -55,9 +58,12 @@ class AnswerLenPolicy:
         return "full_lcm" if self.max_len is None else "capped"
 
 
-def _check_values(cycle: PeriodicCycle, modulus: int) -> None:
-    if max(cycle.values) >= modulus:
-        raise InvalidValue(f"cycle values must be < modulus {modulus}: {cycle.values}")
+def _check_operands(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> None:
+    if out_len < 1:
+        raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
+    for cycle in (c1, c2):
+        if max(cycle.values) >= MODULUS:
+            raise InvalidSpec(f"cycle values must be < modulus {MODULUS}: {cycle.values}")
 
 
 def _extended(cycle: PeriodicCycle, length: int) -> tuple[int, ...]:
@@ -65,51 +71,35 @@ def _extended(cycle: PeriodicCycle, length: int) -> tuple[int, ...]:
     return (cycle.values * -(-length // len(cycle)))[:length]
 
 
-def compose_modadd(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: int) -> tuple[int, ...]:
-    """out[t] = (c1[t mod P1] + c2[t mod P2]) mod modulus."""
-    if modulus < 2:
-        raise InvalidPeriod(f"modulus must be >= 2, got {modulus}")
-    if out_len < 1:
-        raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
-    _check_values(c1, modulus)
-    _check_values(c2, modulus)
-    return tuple([(a + b) % modulus for a, b in zip(_extended(c1, out_len), _extended(c2, out_len))])
+def compose_modadd(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+    """out[t] = (c1[t mod P1] + c2[t mod P2]) mod MODULUS."""
+    _check_operands(c1, c2, out_len)
+    return tuple([(a + b) % MODULUS for a, b in zip(_extended(c1, out_len), _extended(c2, out_len))])
 
 
-def compose_addsub(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int, out_len: int) -> tuple[int, ...]:
-    """out[t] = (c1[t mod P1] + (-1)^t * c2[t mod P2]) mod modulus.
+def compose_addsub(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+    """out[t] = (c1[t mod P1] + (-1)^t * c2[t mod P2]) mod MODULUS.
 
-    The mod is the mathematical one, mapping into [0, modulus).
+    The mod is the mathematical one, mapping into [0, MODULUS).
     """
-    if modulus < 2:
-        raise InvalidPeriod(f"modulus must be >= 2, got {modulus}")
-    if out_len < 1:
-        raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
-    _check_values(c1, modulus)
-    _check_values(c2, modulus)
+    _check_operands(c1, c2, out_len)
     e1, e2 = _extended(c1, out_len), _extended(c2, out_len)
-    return tuple([(e1[t] - e2[t] if t & 1 else e1[t] + e2[t]) % modulus for t in range(out_len)])
+    return tuple([(e1[t] - e2[t] if t & 1 else e1[t] + e2[t]) % MODULUS for t in range(out_len)])
 
 
-def compose_circconv_raw(c1: PeriodicCycle, c2: PeriodicCycle) -> tuple[int, ...]:
-    """Circular convolution over N = lcm(P1, P2), without value reduction.
+def compose_circconv(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+    """out[t] = (sum_{n < N} c1[n mod P1] * c2[(t - n) mod P2]) mod MODULUS,
+    with N = lcm(P1, P2); the reduction makes it fit the digit vocabulary.
 
-    raw[t] = sum_{n=0}^{N-1} c1[n mod P1] * c2[(t - n) mod P2].
+    With f1 = c1 over N positions and f2 = c2 over 2N, entry N + t of their
+    linear convolution sums f1[n] * f2[N + t - n] over every n < N, and
+    N + t - n = t - n (mod P2): that is out[t] for t < N, and out has
+    period N.
     """
-    n_total = lcm(len(c1), len(c2))
-    f1 = np.array(_extended(c1, n_total), dtype=np.int64)
-    f2 = np.array(_extended(c2, n_total), dtype=np.int64)
-    t = np.arange(n_total)
-    idx = (t[:, None] - t[None, :]) % n_total  # idx[t, n] = (t - n) mod N
-    raw = (f2[idx] * f1[None, :]).sum(axis=1)
-    return tuple(raw.tolist())
-
-
-def compose_circconv(c1: PeriodicCycle, c2: PeriodicCycle, modulus: int) -> tuple[int, ...]:
-    """Circular convolution reduced into [0, modulus) so it fits the digit vocabulary."""
-    if modulus < 2:
-        raise InvalidPeriod(f"modulus must be >= 2, got {modulus}")
-    return tuple(v % modulus for v in compose_circconv_raw(c1, c2))
+    _check_operands(c1, c2, out_len)
+    n_total = math.lcm(len(c1), len(c2))
+    full = np.convolve(_extended(c1, n_total), _extended(c2, 2 * n_total))
+    return tuple(np.resize(full[n_total:2 * n_total] % MODULUS, out_len).tolist())
 
 
 def gen_scaled_single(c: PeriodicCycle, repeats: int, factor: int = 2) -> tuple[int, ...]:
@@ -155,13 +145,6 @@ def format_fixed10(v: float) -> str:
     raise FormatOverflow(f"value {v!r} rounds outside the 10-char format")
 
 
-def parse_fixed10(text: str) -> float:
-    """Inverse of format_fixed10 (plain float parse of the fixed-width text)."""
-    if len(text) != 10:
-        raise FormatOverflow(f"expected 10 chars, got {len(text)}: {text!r}")
-    return float(text)
-
-
 def gen_sine_pair(x: float) -> tuple[str, str]:
     """Fixed-width (x, sin x) text pair, e.g. ('+3.1415926', '+0.0000000').
 
@@ -170,4 +153,4 @@ def gen_sine_pair(x: float) -> tuple[str, str]:
     the target exactly from the input text alone.
     """
     x_text = format_fixed10(x)
-    return x_text, format_fixed10(math.sin(parse_fixed10(x_text)))
+    return x_text, format_fixed10(math.sin(float(x_text)))

@@ -1,4 +1,4 @@
-"""Fundamental periodic cycles, their minimal periods, and the lcm of two.
+"""Fundamental periodic cycles and their minimal periods.
 
 A cycle is the length-P list of values whose infinite repetition defines a
 periodic sequence.
@@ -6,7 +6,6 @@ periodic sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -15,11 +14,7 @@ class InvalidCycle(ValueError):
 
 
 class InvalidPeriod(ValueError):
-    """A period, length, or modulus that must be positive is not."""
-
-
-class InvalidValue(ValueError):
-    """A value lies outside the modulus range it is reduced in."""
+    """A period or length that must be positive is not."""
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,3 @@ def minimal_period(cycle: PeriodicCycle) -> int:
             return d
     return n  # unreachable: d == n always matches
 
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    if a < 1 or b < 1:
-        raise InvalidPeriod(f"periods must be >= 1, got ({a}, {b})")
-    return a * b // math.gcd(a, b)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import codec
 from .composers import (
+    MODULUS,
     AnswerLenPolicy,
     ComposeRule,
     InvalidSpec,
@@ -32,12 +33,10 @@ from .composers import (
     gen_single_continuation,
     gen_sine_pair,
 )
-from .cycles import PeriodicCycle, lcm, minimal_period
+from .cycles import PeriodicCycle, minimal_period
 from .model import write_atomic
 
 FORMAT_VERSION = "coper-1"
-# Cycle values of the digit tasks, and their composed answers, live in [0, 10).
-_MODULUS = 10
 
 
 class OutOfRange(ValueError):
@@ -113,25 +112,19 @@ def classify_pair(p1: int, p2: int, policy: SplitPolicy) -> PairClass:
     return PairClass.ID if in_train else PairClass.EXTRAPOLATION
 
 
-def _sample_exact_period(period: int, lo: int, hi: int, rng: np.random.Generator) -> PeriodicCycle:
+def sample_cycle(period: int, lo: int, hi: int, rng: np.random.Generator) -> PeriodicCycle:
     """Cycle in base hi + 1 of uniform draws over [lo, hi], rejected until
-    its minimal period is exact."""
+    its minimal period is exactly `period`."""
+    if period < 1:
+        raise InvalidSpec(f"period must be >= 1, got {period}")
+    if period > 1 and hi <= lo:
+        raise InvalidSpec(f"no cycle of minimal period {period} draws its values from [{lo}, {hi}]")
     if period == 1:
         return PeriodicCycle((int(rng.integers(lo, hi + 1)),), base=hi + 1)
-    for _ in range(100_000):
+    while True:
         cycle = PeriodicCycle(tuple(rng.integers(lo, hi + 1, size=period).tolist()), base=hi + 1)
         if minimal_period(cycle) == period:
             return cycle
-    raise RuntimeError(f"rejection sampling failed for period {period} over [{lo}, {hi}]")
-
-
-def sample_cycle(period: int, base: int, rng: np.random.Generator) -> PeriodicCycle:
-    """Random cycle whose minimal period is exactly `period`."""
-    if period < 1:
-        raise InvalidSpec(f"period must be >= 1, got {period}")
-    if base < 2:
-        raise InvalidSpec(f"base must be >= 2, got {base}")
-    return _sample_exact_period(period, 0, base - 1, rng)
 
 
 @dataclass(frozen=True)
@@ -148,6 +141,16 @@ class TaskParams:
     factor: int = 2
     x_id_bound: float = 3 * math.pi      # sine: train on |x| <= bound
     x_ood_bound: float = 6 * math.pi     # sine: OOD on bound < |x| <= ood_bound
+
+    def __post_init__(self):
+        for rule, ok in (("prompt_len_lo <= prompt_len_hi", self.prompt_len_lo <= self.prompt_len_hi),
+                         ("answer_len >= 1", self.answer_len >= 1),
+                         ("repeats >= 2", self.repeats >= 2),
+                         ("1 <= prompt_blocks < repeats", 1 <= self.prompt_blocks < self.repeats),
+                         ("value_hi >= 1", self.value_hi >= 1)):
+            if not ok:
+                named = {name: getattr(self, name) for name in re.findall(r"[a-z_]+", rule)}
+                raise InvalidSpec(f"task_params need {rule}, got {named}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,10 @@ def _record_rng(master_seed: int, split: Split, index: int) -> np.random.Generat
     return np.random.default_rng(np.random.SeedSequence((master_seed, _SPLIT_INDEX[split], index)))
 
 
+_COMPOSERS = {ComposeRule.MOD_ADD: compose_modadd, ComposeRule.ADD_SUB_ALT: compose_addsub,
+              ComposeRule.CIRC_CONV: compose_circconv}
+
+
 def _digits(seq) -> str:
     return "".join(map(str, seq))
 
@@ -299,28 +306,21 @@ def make_record(
     pair: tuple[int, int],
     seed_id: int,
     rng: np.random.Generator,
-    modulus: int,
     answer_policy: AnswerLenPolicy,
     params: TaskParams,
 ) -> SampleRecord:
     p1, p2 = pair
     if rule in TWO_CYCLE_RULES:
-        c1 = sample_cycle(p1, modulus, rng)
-        c2 = sample_cycle(p2, modulus, rng)
-        n_total = lcm(p1, p2)
-        ans_len = answer_policy.answer_len(n_total)
-        if rule is ComposeRule.MOD_ADD:
-            ans = compose_modadd(c1, c2, modulus, ans_len)
-        elif rule is ComposeRule.ADD_SUB_ALT:
-            ans = compose_addsub(c1, c2, modulus, ans_len)
-        else:
-            ans = compose_circconv(c1, c2, modulus)[:ans_len]
+        c1 = sample_cycle(p1, 0, MODULUS - 1, rng)
+        c2 = sample_cycle(p2, 0, MODULUS - 1, rng)
+        n_total = math.lcm(p1, p2)
+        ans = _COMPOSERS[rule](c1, c2, answer_policy.answer_len(n_total))
         # lcm(p1, p2) is a multiple of each period: every operand is whole cycles.
         s1 = _digits(c1.values) * (n_total // p1)
         s2 = _digits(c2.values) * (n_total // p2)
         input_text, target_text = codec.serialize_sample(s1, s2, _digits(ans))
     elif rule is ComposeRule.SINGLE_PERIOD:
-        c = sample_cycle(p1, modulus, rng)
+        c = sample_cycle(p1, 0, MODULUS - 1, rng)
         if params.prompt_tracks_period:
             # Between two and three full cycles, never an exact multiple.
             prompt_len = 2 * p1 + int(rng.integers(1, p1 + 1))
@@ -330,7 +330,7 @@ def make_record(
         prompt, answer = gen_single_continuation(c, prompt_len, params.answer_len)
         input_text, target_text = _digits(prompt), _digits(answer)
     elif rule is ComposeRule.SCALED_SINGLE:
-        c = _sample_exact_period(p1, 1, params.value_hi, rng)
+        c = sample_cycle(p1, 1, params.value_hi, rng)
         seq = gen_scaled_single(c, params.repeats, params.factor)
         cut = params.prompt_blocks * p1
         input_text = ",".join(str(v) for v in seq[:cut]) + ","
@@ -396,7 +396,7 @@ def build_dataset(
             else:
                 pairs = pair_lists[split]
                 pair = pairs[int(rng.integers(len(pairs)))]
-            rec = make_record(rule, split, pair, i, rng, _MODULUS, answer_policy, task_params)
+            rec = make_record(rule, split, pair, i, rng, answer_policy, task_params)
             lines.append(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
         write_atomic(out_dir / name, "\n".join(lines) + "\n")
         files[split] = name
@@ -406,7 +406,7 @@ def build_dataset(
         policy=policy if rule is not ComposeRule.SINE else None,
         counts=counts,
         master_seed=master_seed,
-        modulus=_MODULUS,
+        modulus=MODULUS,
         answer_policy=answer_policy,
         task_params=task_params,
         files=files,

@@ -62,13 +62,11 @@ class TrainConfig:
 class EncodedSample:
     tokens: np.ndarray      # [BOS] + input ids + target ids
     answer_start: int       # index of the first target token in `tokens`
-    p1: int
-    p2: int
 
 
 def encode_record(rec: SampleRecord) -> EncodedSample:
     ids = (BOS_ID,) + encode(rec.input_text) + encode(rec.target_text)
-    return EncodedSample(np.asarray(ids, dtype=np.int16), 1 + len(rec.input_text), rec.p1, rec.p2)
+    return EncodedSample(np.asarray(ids, dtype=np.int16), 1 + len(rec.input_text))
 
 
 def encode_records(records: list[SampleRecord]) -> list[EncodedSample]:
@@ -232,7 +230,7 @@ class TokenScore:
     count: int = 0
 
     def add(self, logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> None:
-        self.loss += float((ad._token_nll(logits, labels)[0] * mask).sum())
+        self.loss += float((ad.token_nll(logits, labels)[0] * mask).sum())
         self.correct += int(((logits.argmax(axis=-1) == labels) * mask).sum())
         self.count += int(mask.sum())
 

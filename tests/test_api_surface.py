@@ -15,6 +15,10 @@ position (a `*args` or `**kwargs` in the call passes every parameter it
 could reach).  The re-exports in `coper/__init__.py` are not uses
 themselves, and the tests, `coperbench/test_*.py` among them, are not
 scanned: a name or a default that only tests reach is surface nobody runs.
+
+By the same resolution, no coper module reaches a private (`_`-prefixed)
+name of another one, by an import or by `alias._name`: a name another
+module needs is public.
 """
 
 import ast
@@ -79,12 +83,15 @@ def _imported_module(node: ast.ImportFrom, in_package: bool) -> str | None:
 
 
 def _scan(root: Path):
-    """(defined, used, calls) over the modules of coper and the coperbench scripts.
+    """(defined, used, calls, reached) over the modules of coper and the
+    coperbench scripts.
 
     defined: module -> {public name: defining statement}.
     used: every (module, name) that is imported or referred to.
     calls: ((module, name), call) for every call whose callee resolves to a
     public name.
+    reached: (module, (other module, name)) for every private name of
+    another module that a coper module imports or refers to.
     """
     src = root / "src" / "coper"
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
@@ -93,7 +100,7 @@ def _scan(root: Path):
                  for node in package.body if isinstance(node, ast.ImportFrom)
                  for alias in node.names}
     defined = {m: _definitions(tree) for m, tree in trees.items()}
-    used, calls = set(), []
+    used, calls, reached = set(), [], set()
 
     scanned = [(m, tree, True) for m, tree in trees.items()]
     scanned += [(None, ast.parse(p.read_text()), False) for p in sorted((root / "coperbench").glob("*.py"))
@@ -137,14 +144,17 @@ def _scan(root: Path):
             elif isinstance(node, ast.Name) and node.id in own and inside.get(id(node)) != node.id:
                 resolved[id(node)] = (module, node.id)
         used.update(resolved.values())
+        if in_package:
+            reached.update((module, target) for target in [*names.values(), *resolved.values()]
+                           if target[0] != module and target[1].startswith("_"))
         calls += [(resolved[id(node.func)], node) for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node.func) in resolved]
-    return defined, used, calls
+    return defined, used, calls, reached
 
 
 def unused_public_names(root: Path) -> list:
     """(module, name) pairs that nothing but tests refers to, sorted."""
-    defined, used, _ = _scan(root)
+    defined, used, _, _ = _scan(root)
     return sorted((m, name) for m, names in defined.items() for name in names
                   if (m, name) not in used and (m, name) not in ALLOWED)
 
@@ -170,7 +180,7 @@ def _defaulted(fn: ast.FunctionDef) -> list:
 
 def unset_defaults(root: Path) -> list:
     """(module, function, parameter) defaults that no call outside tests passes, sorted."""
-    defined, _, calls = _scan(root)
+    defined, _, calls, _ = _scan(root)
     passed = {}
     for (m, name), call in calls:
         fn = defined[m].get(name)
@@ -194,3 +204,22 @@ def test_every_default_is_set_by_a_caller_outside_tests():
     trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "coper").glob("*.py")}
     for module, name, param in ALLOWED_DEFAULTS:  # an allowlist entry must name a live default
         assert param in _defaulted(_definitions(trees[module])[name])
+
+
+def private_reaches(root: Path) -> list:
+    """(module, (other module, private name)) reaches between coper modules, sorted."""
+    return sorted(_scan(root)[3])
+
+
+def test_no_module_reaches_another_modules_private_name():
+    assert private_reaches(ROOT) == []
+
+
+def test_private_reaches_are_found(tmp_path):
+    src = tmp_path / "src" / "coper"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("")
+    (src / "a.py").write_text("def _hidden():\n    pass\n\n\ndef shown():\n    _hidden()\n")
+    (src / "b.py").write_text("from .a import _hidden\n")
+    (src / "c.py").write_text("from . import a\n\n\ndef f():\n    return a._hidden, a.shown\n")
+    assert private_reaches(tmp_path) == [("b", ("a", "_hidden")), ("c", ("a", "_hidden"))]

@@ -309,6 +309,34 @@ class TestEndToEnd:
         assert f"config section '{next(iter(config))}'" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("profile, task_params, message", [
+        ("single-period-scaled", {"prompt_blocks": 4}, "task_params need 1 <= prompt_blocks < repeats"),
+        ("single-period-scaled", {"value_hi": 0}, "task_params need value_hi >= 1"),
+        ("single-period", {"prompt_len_lo": 40, "prompt_len_hi": 30},
+         "task_params need prompt_len_lo <= prompt_len_hi"),
+        ("single-period-scaled", {"value_hi": 1}, "no cycle of minimal period"),
+    ], ids=["prompt_blocks_at_repeats", "zero_value_hi", "prompt_len_range_reversed", "one_value"])
+    def test_task_params_no_task_builds_from_fail_validation(self, tmp_path, capsys, profile,
+                                                            task_params, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"task_params": task_params}))
+        code, _, err = run(capsys, "gen", "--profile", profile, "--out", str(tmp_path / "d"),
+                           "--config", str(path))
+        assert code == 1 and message in err
+        assert not list((tmp_path / "d").glob("*.jsonl"))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--data", "{missing}"],
+        ["eval", "--ckpt", "{missing}", "--data", "{missing}", "--out", "{out}"],
+        ["train", "--data", "{missing}", "--out", "{out}"],
+        ["plot", "--runlog", "{missing}", "--out", "{out}"],
+    ], ids=["verify", "eval", "train", "plot"])
+    def test_flag_naming_a_missing_file_fails_validation(self, tmp_path, capsys, argv):
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        code, _, err = run(capsys, *[a.format(missing=missing, out=out) for a in argv])
+        assert code == 1
+        assert "No such file or directory" in err and str(missing) in err
+
     def test_config_section_overrides_only_the_fields_it_names(self, tmp_path, capsys):
         config = tmp_path / "partial.json"
         config.write_text(json.dumps({**MICRO_CONFIG, "policy": {"total_hi": 12},

@@ -10,15 +10,13 @@ from coper.composers import (
     InvalidSpec,
     compose_addsub,
     compose_circconv,
-    compose_circconv_raw,
     compose_modadd,
     format_fixed10,
     gen_scaled_single,
     gen_sine_pair,
     gen_single_continuation,
-    parse_fixed10,
 )
-from coper.cycles import InvalidValue, PeriodicCycle, lcm, minimal_period
+from coper.cycles import PeriodicCycle, minimal_period
 from coper.dataset import Split, SplitPolicy, build_dataset
 
 
@@ -29,31 +27,32 @@ def random_cycle(rng, max_len=8, base=10):
 
 class TestModAdd:
     def test_worked_example(self):
-        assert compose_modadd(PeriodicCycle((1, 2, 3)), PeriodicCycle((1, 2)), 10, 6) == (2, 4, 4, 3, 3, 5)
+        assert compose_modadd(PeriodicCycle((1, 2, 3)), PeriodicCycle((1, 2)), 6) == (2, 4, 4, 3, 3, 5)
 
     def test_zero_second_operand(self):
-        assert compose_modadd(PeriodicCycle((1, 2, 3)), PeriodicCycle((0, 0)), 10, 6) == (1, 2, 3, 1, 2, 3)
+        assert compose_modadd(PeriodicCycle((1, 2, 3)), PeriodicCycle((0, 0)), 6) == (1, 2, 3, 1, 2, 3)
 
     def test_digitwise_addition(self):
-        assert compose_modadd(PeriodicCycle((3, 4, 2)), PeriodicCycle((1, 1, 7)), 10, 3) == (4, 5, 9)
+        assert compose_modadd(PeriodicCycle((3, 4, 2)), PeriodicCycle((1, 1, 7)), 3) == (4, 5, 9)
 
     def test_rejects_values_at_modulus(self):
-        with pytest.raises(InvalidValue):
-            compose_modadd(PeriodicCycle((5,)), PeriodicCycle((1,)), 5, 3)
+        for fn in (compose_modadd, compose_addsub, compose_circconv):
+            with pytest.raises(InvalidSpec, match="must be < modulus 10"):
+                fn(PeriodicCycle((1,)), PeriodicCycle((10,), base=11), 3)
 
     def test_commutative(self):
         rng = np.random.default_rng(10)
         for _ in range(1000):
             c1, c2 = random_cycle(rng), random_cycle(rng)
             n = int(rng.integers(1, 30))
-            assert compose_modadd(c1, c2, 10, n) == compose_modadd(c2, c1, 10, n)
+            assert compose_modadd(c1, c2, n) == compose_modadd(c2, c1, n)
 
     def test_matches_pointwise_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
             c1, c2 = random_cycle(rng), random_cycle(rng)
             n = int(rng.integers(1, 40))
-            got = compose_modadd(c1, c2, 10, n)
+            got = compose_modadd(c1, c2, n)
             expect = tuple(
                 (c1.values[t % len(c1)] + c2.values[t % len(c2)]) % 10 for t in range(n))
             assert got == expect
@@ -61,13 +60,13 @@ class TestModAdd:
 
 class TestAddSub:
     def test_worked_example(self):
-        assert compose_addsub(PeriodicCycle((1, 2, 3)), PeriodicCycle((1, 2)), 10, 6) == (2, 0, 4, 9, 3, 1)
+        assert compose_addsub(PeriodicCycle((1, 2, 3)), PeriodicCycle((1, 2)), 6) == (2, 0, 4, 9, 3, 1)
 
     def test_zero_second_operand(self):
-        assert compose_addsub(PeriodicCycle((5, 5)), PeriodicCycle((0, 0)), 10, 4) == (5, 5, 5, 5)
+        assert compose_addsub(PeriodicCycle((5, 5)), PeriodicCycle((0, 0)), 4) == (5, 5, 5, 5)
 
     def test_sign_alternation_wraps_into_range(self):
-        assert compose_addsub(PeriodicCycle((0, 0)), PeriodicCycle((1, 1)), 10, 4) == (1, 9, 1, 9)
+        assert compose_addsub(PeriodicCycle((0, 0)), PeriodicCycle((1, 1)), 4) == (1, 9, 1, 9)
 
 
 class TestPeriodDividesLcm:
@@ -76,8 +75,8 @@ class TestPeriodDividesLcm:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             c1, c2 = random_cycle(rng, 6), random_cycle(rng, 6)
-            n = lcm(len(c1), len(c2))
-            out = fn(c1, c2, 10, n)
+            n = math.lcm(len(c1), len(c2))
+            out = fn(c1, c2, n)
             d = minimal_period(PeriodicCycle(out))
             assert n % d == 0
 
@@ -85,39 +84,42 @@ class TestPeriodDividesLcm:
         rng = np.random.default_rng(13)
         for _ in range(300):
             c1, c2 = random_cycle(rng, 6), random_cycle(rng, 6)
-            out = compose_circconv(c1, c2, 10)
-            n = lcm(len(c1), len(c2))
+            n = math.lcm(len(c1), len(c2))
+            out = compose_circconv(c1, c2, n)
             assert len(out) == n
             assert n % minimal_period(PeriodicCycle(out)) == 0
 
 
 class TestCircConv:
     def test_zero_factor_annihilates(self):
-        assert compose_circconv(PeriodicCycle((1, 2)), PeriodicCycle((0, 0, 0)), 10) == (0, 0, 0, 0, 0, 0)
+        assert compose_circconv(PeriodicCycle((1, 2)), PeriodicCycle((0, 0, 0)), 6) == (0, 0, 0, 0, 0, 0)
 
     def test_constant_factor(self):
-        assert compose_circconv(PeriodicCycle((1, 2)), PeriodicCycle((1, 1, 1)), 10) == (9, 9, 9, 9, 9, 9)
+        assert compose_circconv(PeriodicCycle((1, 2)), PeriodicCycle((1, 1, 1)), 6) == (9, 9, 9, 9, 9, 9)
 
     def test_matches_double_loop_oracle(self):
+        # The definition, summed over n < N for every t < out_len: lengths
+        # below, at and beyond N = lcm(P1, P2) all follow it.
         rng = np.random.default_rng(14)
         for _ in range(200):
             c1, c2 = random_cycle(rng, 5), random_cycle(rng, 5)
-            n = lcm(len(c1), len(c2))
-            raw = compose_circconv_raw(c1, c2)
+            n = math.lcm(len(c1), len(c2))
+            out_len = int(rng.integers(1, 2 * n + 1))
             expect = tuple(
-                sum(c1.values[m % len(c1)] * c2.values[(t - m) % len(c2)] for m in range(n))
-                for t in range(n))
-            assert raw == expect
-            assert compose_circconv(c1, c2, 10) == tuple(v % 10 for v in expect)
+                sum(c1.values[m % len(c1)] * c2.values[(t - m) % len(c2)] for m in range(n)) % 10
+                for t in range(out_len))
+            assert compose_circconv(c1, c2, out_len) == expect
 
-    def test_shift_equivariance_on_raw_values(self):
+    def test_rotation_equivariance(self):
+        # Rotating the first cycle by k rotates the output period by k.
         rng = np.random.default_rng(15)
         for _ in range(1000):
             c1, c2 = random_cycle(rng, 6), random_cycle(rng, 6)
+            n = math.lcm(len(c1), len(c2))
             k = int(rng.integers(-10, 11))
             rotated_in = PeriodicCycle(np.roll(c1.values, k))
-            lhs = compose_circconv_raw(rotated_in, c2)
-            rhs = np.roll(compose_circconv_raw(c1, c2), k)
+            lhs = compose_circconv(rotated_in, c2, n)
+            rhs = np.roll(compose_circconv(c1, c2, n), k)
             assert list(lhs) == rhs.tolist()
 
 
@@ -197,7 +199,7 @@ class TestSinePairs:
         rng = np.random.default_rng(18)
         for _ in range(1000):
             x = float(rng.uniform(-9.9, 9.9))
-            assert parse_fixed10(format_fixed10(x)) == pytest.approx(x, abs=5e-8)
+            assert float(format_fixed10(x)) == pytest.approx(x, abs=5e-8)
 
     def test_overflow(self):
         with pytest.raises(FormatOverflow):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from coper.composers import compose_modadd
-from coper.cycles import InvalidCycle, InvalidPeriod, PeriodicCycle, lcm, minimal_period
+from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec, compose_modadd
+from coper.cycles import InvalidCycle, InvalidPeriod, PeriodicCycle, minimal_period
+from coper.dataset import Split, TaskParams, make_record
 
 
 def naive_period(values):
@@ -55,29 +58,37 @@ class TestMinimalPeriod:
             n = int(rng.integers(1, 10))
             c = PeriodicCycle(tuple(int(v) for v in rng.integers(0, 10, size=n)))
             d = minimal_period(c)
-            ext = compose_modadd(c, PeriodicCycle((0,)), 10, 3 * d)
+            ext = compose_modadd(c, PeriodicCycle((0,)), 3 * d)
             assert np.roll(ext, d).tolist() == list(ext)
 
 
 class TestLcm:
+    """Each operand of a two-cycle record spans N = lcm(P1, P2) digits."""
+
+    @staticmethod
+    def operand_length(a, b):
+        rec = make_record(ComposeRule.MOD_ADD, Split.TRAIN, (a, b), 0, np.random.default_rng(a * 100 + b),
+                          AnswerLenPolicy(), TaskParams())
+        s1, s2 = rec.input_text[:-1].split("+")
+        assert len(s1) == len(s2) == len(rec.target_text)
+        return len(s1)
+
     @pytest.mark.parametrize("a,b,expected", [(3, 2, 6), (4, 4, 4), (13, 16, 208)])
     def test_examples(self, a, b, expected):
-        assert lcm(a, b) == expected
+        assert self.operand_length(a, b) == expected
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidPeriod):
-            lcm(0, 3)
-        with pytest.raises(InvalidPeriod):
-            lcm(3, -1)
+        with pytest.raises(InvalidSpec, match="period must be >= 1"):
+            self.operand_length(0, 3)
+        with pytest.raises(InvalidSpec, match="period must be >= 1"):
+            self.operand_length(3, -1)
 
     def test_gcd_identity(self):
-        import math
-
         rng = np.random.default_rng(2)
-        for _ in range(1000):
-            a, b = (int(v) for v in rng.integers(1, 65, size=2))
-            assert lcm(a, b) == lcm(b, a)
-            assert lcm(a, b) * math.gcd(a, b) == a * b
+        for _ in range(200):
+            a, b = (int(v) for v in rng.integers(1, 17, size=2))
+            assert self.operand_length(a, b) == self.operand_length(b, a)
+            assert self.operand_length(a, b) * math.gcd(a, b) == a * b
 
 
 class TestExtend:
@@ -93,8 +104,8 @@ class TestExtend:
         ],
     )
     def test_examples(self, values, length, expected):
-        assert compose_modadd(PeriodicCycle(values), PeriodicCycle((0,)), 10, length) == expected
+        assert compose_modadd(PeriodicCycle(values), PeriodicCycle((0,)), length) == expected
 
     def test_rejects_bad_length(self):
         with pytest.raises(InvalidPeriod):
-            compose_modadd(PeriodicCycle((1,)), PeriodicCycle((0,)), 10, 0)
+            compose_modadd(PeriodicCycle((1,)), PeriodicCycle((0,)), 0)

@@ -68,17 +68,48 @@ class TestClassifyPair:
 
 
 class TestSampleCycle:
+    # The digit tasks draw from [0, 9], the scaled task from [1, value_hi].
+    RANGES = [(0, 9), (1, 4)]
+
     def test_exact_period(self):
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            period = int(rng.integers(1, 11))
-            c = sample_cycle(period, 10, rng)
-            assert minimal_period(c) == period
+        for lo, hi in self.RANGES:
+            for _ in range(2000):
+                period = int(rng.integers(1, 11))
+                c = sample_cycle(period, lo, hi, rng)
+                assert minimal_period(c) == period
+                assert c.base == hi + 1 and lo <= min(c.values) and max(c.values) <= hi
 
     def test_deterministic_given_seed(self):
-        a = sample_cycle(6, 10, np.random.default_rng(42))
-        b = sample_cycle(6, 10, np.random.default_rng(42))
-        assert a == b
+        for lo, hi in self.RANGES:
+            a = sample_cycle(6, lo, hi, np.random.default_rng(42))
+            b = sample_cycle(6, lo, hi, np.random.default_rng(42))
+            assert a == b
+
+    def test_one_value_allows_only_period_one(self):
+        assert sample_cycle(1, 1, 1, np.random.default_rng(0)).values == (1,)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidSpec, match=re.escape("no cycle of minimal period 2 draws its values from [1, 1]")):
+            sample_cycle(2, 1, 1, rng)
+        assert rng.bit_generator.state == before  # raised before any draw
+
+
+class TestTaskParams:
+    @pytest.mark.parametrize("fields, rule", [
+        ({"prompt_blocks": 4}, "1 <= prompt_blocks < repeats"),
+        ({"prompt_blocks": 5}, "1 <= prompt_blocks < repeats"),
+        ({"prompt_blocks": 0}, "1 <= prompt_blocks < repeats"),
+        ({"prompt_len_lo": 40, "prompt_len_hi": 30}, "prompt_len_lo <= prompt_len_hi"),
+        ({"value_hi": 0}, "value_hi >= 1"),
+        ({"answer_len": 0}, "answer_len >= 1"),
+        ({"repeats": 1}, "repeats >= 2"),
+    ], ids=["prompt_blocks_at_repeats", "prompt_blocks_past_repeats", "no_prompt_blocks",
+            "prompt_len_range_reversed", "zero_value_hi", "zero_answer_len", "one_repeat"])
+    def test_rejects_values_no_task_builds_from(self, fields, rule):
+        with pytest.raises(InvalidSpec, match=re.escape(f"task_params need {rule}, got ")) as info:
+            TaskParams(**fields)
+        assert all(f"'{name}': {value}" in str(info.value) for name, value in fields.items())
 
 
 def build_tiny(tmp_path, rule=ComposeRule.MOD_ADD, counts=None, seed=7, **kw):
@@ -159,8 +190,10 @@ class TestBuildDataset:
         (lambda m: m.update(counts=[1, 2]), "manifest section 'counts' is not an object"),
         (lambda m: m["counts"].update(train=None), "manifest section 'counts' maps 'train' to None"),
         (lambda m: m.update(files=["train.jsonl"]), "manifest section 'files' is not an object"),
+        (lambda m: m["task_params"].update(prompt_blocks=4),
+         "'task_params' is invalid: task_params need 1 <= prompt_blocks < repeats"),
     ], ids=["unknown_task_param", "unknown_policy_field", "missing_answer_policy", "zero_answer_cap",
-            "counts_list", "null_count", "files_list"])
+            "counts_list", "null_count", "files_list", "prompt_blocks_at_repeats"])
     def test_bad_manifest_section_rejected(self, tmp_path, capsys, edit, message):
         build_tiny(tmp_path)
         path = tmp_path / "manifest.json"
