@@ -24,11 +24,13 @@ from .composers import (
     MODULUS,
     AnswerLenPolicy,
     ComposeRule,
+    FormatOverflow,
     InvalidSpec,
     TWO_CYCLE_RULES,
     compose_addsub,
     compose_circconv,
     compose_modadd,
+    format_fixed10,
     gen_scaled_single,
     gen_single_continuation,
     gen_sine_pair,
@@ -143,13 +145,25 @@ class TaskParams:
     x_ood_bound: float = 6 * math.pi     # sine: OOD on bound < |x| <= ood_bound
 
     def __post_init__(self):
+        try:
+            format_fixed10(self.x_ood_bound)
+            renders = True
+        except FormatOverflow:
+            renders = False
         for rule, ok in (("prompt_len_lo <= prompt_len_hi", self.prompt_len_lo <= self.prompt_len_hi),
                          ("answer_len >= 1", self.answer_len >= 1),
                          ("repeats >= 2", self.repeats >= 2),
                          ("1 <= prompt_blocks < repeats", 1 <= self.prompt_blocks < self.repeats),
-                         ("value_hi >= 1", self.value_hi >= 1)):
+                         ("value_hi >= 1", self.value_hi >= 1),
+                         # 1 repeats the cycle and 0 zeroes every later block:
+                         # neither breaks shift invariance.
+                         ("factor >= 2", self.factor >= 2),
+                         ("x_id_bound > 0", self.x_id_bound > 0),
+                         ("x_ood_bound > x_id_bound", self.x_ood_bound > self.x_id_bound),
+                         ("x_ood_bound in the 10-char sine format", renders)):
             if not ok:
-                named = {name: getattr(self, name) for name in re.findall(r"[a-z_]+", rule)}
+                names = {f.name for f in fields(self)}
+                named = {name: getattr(self, name) for name in re.findall(r"[a-z_]+", rule) if name in names}
                 raise InvalidSpec(f"task_params need {rule}, got {named}")
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,63 @@ class TestBackwardBasics:
                 y = ad.add(x, x)
             tape.backward(y)
         assert float(x.grad) == pytest.approx(4.0)
+
+
+class TestTapeLifetime:
+    """The tape holds only what backward reads, and only until backward has read it."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.x, self.w = rand64(rng, 1, 4, 6, grad=False), rand64(rng, 6, 6)
+        angles = rng.standard_normal((4, 3))
+        self.cos, self.sin = np.cos(angles), np.sin(angles)
+        self.targets, self.mask = np.array([[0, 1, 2, 3]]), np.ones((1, 4), bool)
+
+    def test_an_input_no_backward_reads_dies_in_mid_forward(self):
+        with ad.Tape() as tape:
+            h = ad.matmul(self.x, self.w)
+            probe = weakref.ref(h.data)
+            rotated = ad.rope_rotate(h, self.cos, self.sin)
+            del h
+            assert probe() is None
+            loss = ad.cross_entropy(rotated, self.targets, self.mask)
+        tape.backward(loss)
+        assert self.w.grad is not None and np.abs(self.w.grad).sum() > 0
+
+    def test_arrays_only_closures_hold_are_freed_by_backward(self):
+        with ad.Tape() as tape:
+            h = ad.matmul(self.x, self.w)
+            probe = weakref.ref(h.data)
+            loss = ad.cross_entropy(ad.gelu(h), self.targets, self.mask)
+            del h
+        assert probe() is not None  # gelu's backward reads its input
+        tape.backward(loss)
+        assert probe() is None  # though the caller still holds tape and loss
+
+    def test_a_second_backward_raises_and_changes_no_grad(self):
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy(ad.matmul(self.x, self.w), self.targets, self.mask)
+        tape.backward(loss)
+        grad = self.w.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran backward"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(self.w.grad, grad)
+
+    @pytest.mark.parametrize("source", ["tape-free", "another tape"])
+    def test_a_loss_the_tape_did_not_record_changes_no_grad(self, source):
+        def loss_of():
+            return ad.cross_entropy(ad.matmul(self.x, self.w), self.targets, self.mask)
+
+        self.w.grad = np.ones_like(self.w.data)
+        with ad.Tape() as tape:
+            loss_of()
+        if source == "tape-free":
+            loss = loss_of()
+        else:  # the same op at the same node index, on another tape
+            with ad.Tape():
+                loss = loss_of()
+        tape.backward(loss)
+        np.testing.assert_array_equal(self.w.grad, np.ones_like(self.w.data))
 
 
 class TestForwardSemantics:

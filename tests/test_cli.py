@@ -359,6 +359,22 @@ class TestEndToEnd:
         assert "config section 'policy' does not apply" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("profile, task_params, rule", [
+        ("sine", {"x_ood_bound": 200}, "x_ood_bound in the 10-char sine format"),
+        ("sine", {"x_ood_bound": 1}, "x_ood_bound > x_id_bound"),
+        ("single-period-scaled", {"factor": 1}, "factor >= 2"),
+        ("single-period-scaled", {"factor": 0}, "factor >= 2"),
+    ], ids=["sine_ood_bound_200", "sine_ood_bound_1", "scaled_factor_1", "scaled_factor_0"])
+    def test_task_params_no_task_builds_from_fail_before_any_file(self, tmp_path, capsys,
+                                                                  profile, task_params, rule):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"task_params": task_params}))
+        code, _, err = run(capsys, "gen", "--profile", profile, "--out", str(tmp_path / "d"),
+                           "--config", str(config))
+        assert code == 1
+        assert f"task_params need {rule}" in err
+        assert not (tmp_path / "d").exists()
+
     def test_plot_without_inputs_fails_validation(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "--out", str(tmp_path / "p"))
         assert code == 1

@@ -104,8 +104,17 @@ class TestTaskParams:
         ({"value_hi": 0}, "value_hi >= 1"),
         ({"answer_len": 0}, "answer_len >= 1"),
         ({"repeats": 1}, "repeats >= 2"),
+        ({"factor": 1}, "factor >= 2"),
+        ({"factor": 0}, "factor >= 2"),
+        ({"x_id_bound": 0.0}, "x_id_bound > 0"),
+        ({"x_ood_bound": 1.0}, "x_ood_bound > x_id_bound"),
+        ({"x_id_bound": 2.0, "x_ood_bound": 2.0}, "x_ood_bound > x_id_bound"),
+        ({"x_ood_bound": 200.0}, "x_ood_bound in the 10-char sine format"),
+        ({"x_ood_bound": 99.9999996}, "x_ood_bound in the 10-char sine format"),
     ], ids=["prompt_blocks_at_repeats", "prompt_blocks_past_repeats", "no_prompt_blocks",
-            "prompt_len_range_reversed", "zero_value_hi", "zero_answer_len", "one_repeat"])
+            "prompt_len_range_reversed", "zero_value_hi", "zero_answer_len", "one_repeat",
+            "factor_one", "factor_zero", "zero_id_bound", "ood_bound_below_id_bound",
+            "ood_bound_at_id_bound", "ood_bound_past_format", "ood_bound_rounding_past_format"])
     def test_rejects_values_no_task_builds_from(self, fields, rule):
         with pytest.raises(InvalidSpec, match=re.escape(f"task_params need {rule}, got ")) as info:
             TaskParams(**fields)
