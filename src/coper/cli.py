@@ -1,5 +1,6 @@
-"""Command-line pipeline: gen, verify, train, eval, analyze, plot, and
-one-shot run-experiment recipes.
+"""Command-line pipeline: gen, verify, train, eval, analyze, and the
+one-shot run-experiment, which runs the gen, train and eval stages of the
+single commands.
 
 Exit codes: 0 success, 1 validation problem (bad flags or config fields,
 a flag naming a missing file, unknown profile, failed dataset
@@ -72,7 +73,7 @@ def _config_section(current, name: str, section):
         raise ValidationFailure(f"config section {name!r} does not apply: the profile has no {name}")
     try:
         return replace(current, **section)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationFailure(f"config section {name!r}: {exc}") from exc
 
 
@@ -126,13 +127,43 @@ def _resolve(args: argparse.Namespace):
     return profile, replace(settings, model=model, train=train_cfg)
 
 
-def _cmd_gen(args) -> int:
+def _build(profile, settings, seed: int, out: Path):
+    """The gen stage: build the profile's corpus from the resolved settings into `out`."""
     from .dataset import build_dataset
 
+    return build_dataset(profile.rule, settings.policy, settings.counts, seed, out,
+                         answer_policy=settings.answer_policy, task_params=settings.task_params)
+
+
+def _train_seed(settings, seed: int, data_dir: Path, out: Path, verbose: bool):
+    """The train stage: one model at `seed`, which writes `model.ckpt`,
+    `runlog.*` and `curves.*` into `out`."""
+    from .evaluation import emit_loss_curves
+    from .model import Transformer
+    from .training import train
+
+    model = Transformer(replace(settings.model, init_seed=seed))
+    _, runlog = train(model, data_dir, replace(settings.train, seed=seed), out_dir=out, verbose=verbose)
+    emit_loss_curves(runlog, out / "curves.csv", out / "curves.svg")
+    return model, runlog
+
+
+def _evaluate_model(model, data_dir: Path, out: Path):
+    """The eval stage: decode `data_dir`'s test splits, which writes
+    `heatmap.*` and `report.json` into `out`."""
+    from .evaluation import emit_heatmap, evaluate
+
+    out.mkdir(parents=True, exist_ok=True)
+    result = evaluate(model, data_dir)
+    emit_heatmap(result.combined_grid(), out / "heatmap.csv", out / "heatmap.svg")
+    _write_json(out / "report.json", result.to_dict())
+    return result
+
+
+def _cmd_gen(args) -> int:
     profile, settings = _resolve(args)
     out = Path(args.out)
-    manifest = build_dataset(profile.rule, settings.policy, settings.counts, args.seed, out,
-                             answer_policy=settings.answer_policy, task_params=settings.task_params)
+    manifest = _build(profile, settings, args.seed, out)
     _write_stamp(out, args)
     total = sum(manifest.counts.values())
     print(f"wrote {total} records across {len(manifest.files)} splits to {out}")
@@ -152,32 +183,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .model import Transformer
-    from .training import train
-
     _, settings = _resolve(args)
-    model_cfg = replace(settings.model, init_seed=args.seed)
-    train_cfg = replace(settings.train, seed=args.seed)
     out = Path(args.out)
-    model = Transformer(model_cfg)
-    _, runlog = train(model, Path(args.data), train_cfg, out_dir=out, verbose=args.verbose)
-    _write_stamp(out, args, {"model": asdict(model_cfg), "train": asdict(train_cfg)})
-    final = runlog.final
-    print(f"trained {train_cfg.epochs} epochs; final train loss {final.train_loss:.4f}")
+    model, runlog = _train_seed(settings, args.seed, Path(args.data), out, args.verbose)
+    train_cfg = replace(settings.train, seed=args.seed)
+    _write_stamp(out, args, {"model": asdict(model.config), "train": asdict(train_cfg)})
+    print(f"trained {train_cfg.epochs} epochs; final train loss {runlog.final.train_loss:.4f}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from .evaluation import emit_category_bar, emit_heatmap, evaluate
+    from .evaluation import emit_category_bar
     from .model import load_checkpoint
 
     model, _, _ = load_checkpoint(Path(args.ckpt))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = evaluate(model, Path(args.data))
-    emit_heatmap(result.combined_grid(), out / "heatmap.csv", out / "heatmap.svg")
+    result = _evaluate_model(model, Path(args.data), out)
     emit_category_bar([(args.name, result.report)], out / "categories.csv", out / "categories.svg")
-    _write_json(out / "report.json", result.to_dict())
     _write_stamp(out, args)
     rep = result.report
     print(f"id {_fmt(rep.id_accuracy)} hollow {_fmt(rep.hollow_accuracy)} "
@@ -217,37 +239,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    from .evaluation import emit_heatmap, emit_loss_curves, PairAccuracyGrid
-    from .training import RunLog
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    made = []
-    if args.runlog:
-        log = RunLog.from_csv_text(Path(args.runlog).read_text())
-        emit_loss_curves(log, out / "curves.csv", out / "curves.svg")
-        made.append("curves.svg")
-    if args.heatmap:
-        import csv as _csv
-
-        grid = PairAccuracyGrid()
-        with open(args.heatmap) as fh:
-            for row in _csv.DictReader(fh):
-                grid.add((int(row["p1"]), int(row["p2"])), int(row["correct"]), int(row["total"]))
-        emit_heatmap(grid, out / "heatmap.csv", out / "heatmap.svg")
-        made.append("heatmap.svg")
-    if not made:
-        raise ValidationFailure("plot needs --runlog and/or --heatmap")
-    print(f"wrote {', '.join(made)} to {out}")
-    return 0
-
-
 def _cmd_run_experiment(args) -> int:
-    from .dataset import build_dataset, verify_dataset
-    from .evaluation import emit_category_bar, emit_heatmap, emit_loss_curves, evaluate
-    from .model import Transformer
-    from .training import train
+    from .dataset import verify_dataset
+    from .evaluation import emit_category_bar
 
     profile, settings = _resolve(args)
     seeds = args.seeds or [args.seed]
@@ -258,8 +252,7 @@ def _cmd_run_experiment(args) -> int:
     # between same-seed runs.
     clock = time.perf_counter
     start = clock()
-    build_dataset(profile.rule, settings.policy, settings.counts, args.seed, data_dir,
-                  answer_policy=settings.answer_policy, task_params=settings.task_params)
+    _build(profile, settings, args.seed, data_dir)
     times = {"gen_s": clock() - start, "train_s": {}, "eval_s": {}}
     start = clock()
     report = verify_dataset(data_dir)
@@ -272,19 +265,13 @@ def _cmd_run_experiment(args) -> int:
     named_reports = []
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"
-        model = Transformer(replace(settings.model, init_seed=seed))
         start = clock()
-        _, runlog = train(model, data_dir, replace(settings.train, seed=seed),
-                          out_dir=seed_dir, verbose=args.verbose)
+        model, _ = _train_seed(settings, seed, data_dir, seed_dir, args.verbose)
         times["train_s"][str(seed)] = clock() - start
-        emit_loss_curves(runlog, seed_dir / "curves.csv", seed_dir / "curves.svg")
         start = clock()
-        result = evaluate(model, data_dir)
+        result = _evaluate_model(model, data_dir, seed_dir)
         times["eval_s"][str(seed)] = clock() - start
-        emit_heatmap(result.combined_grid(), seed_dir / "heatmap.csv", seed_dir / "heatmap.svg")
-        name = f"{profile.name}-seed{seed}"
-        named_reports.append((name, result.report))
-        _write_json(seed_dir / "report.json", result.to_dict())
+        named_reports.append((f"{profile.name}-seed{seed}", result.report))
 
     # Per-key mean over the seeds; a category the dataset lacks stays None.
     reports = [rep.to_dict() for _, rep in named_reports]
@@ -371,12 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=_positive, default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("plot", help="render CSV artifacts to SVG")
-    p.add_argument("--runlog", help="runlog.csv from a training run")
-    p.add_argument("--heatmap", help="heatmap.csv from an evaluation")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_plot)
 
     p = sub.add_parser("run-experiment", help="gen + verify + train + eval, one command")
     p.add_argument("profile", help="experiment profile name")

@@ -73,6 +73,10 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pe_kind", PeKind(self.pe_kind))
+        if self.d_model < 1 or self.n_heads < 1:
+            raise ConfigError(f"d_model and n_heads must be >= 1, got {self.d_model} and {self.n_heads}")
+        if not self.rope_base > 0:
+            raise ConfigError(f"rope_base must be positive, got {self.rope_base}")
         if self.d_model % (2 * self.n_heads) != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by 2 * n_heads = {2 * self.n_heads}")

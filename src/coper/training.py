@@ -43,16 +43,13 @@ class TrainConfig:
     learning_rate: float = 3e-4
     weight_decay: float = 0.01
     epochs: int = 30
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_region: LossRegion = LossRegion.ANSWER_ONLY
     eval_every: int = 3
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "loss_region", LossRegion(self.loss_region))
-        if self.learning_rate <= 0 or self.weight_decay < 0 or self.eps <= 0:
+        if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("rates must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size, and eval_every must be >= 1")
@@ -153,29 +150,17 @@ class RunLog:
                                  "" if acc is None else f"{acc:.6f}"])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "RunLog":
-        rows = list(csv.reader(io.StringIO(text)))
-        by_epoch: dict[int, EvalPoint] = {}
-        for epoch_s, split, loss_s, acc_s in rows[1:]:
-            epoch = int(epoch_s)
-            pt = by_epoch.setdefault(epoch, EvalPoint(epoch, float("nan"), {}, {}))
-            if split == "train":
-                pt.train_loss = float(loss_s)
-            else:
-                pt.split_loss[split] = float(loss_s)
-                if acc_s:
-                    pt.split_accuracy[split] = float(acc_s)
-        log = cls()
-        for epoch in sorted(by_epoch):
-            log.append(by_epoch[epoch])
-        return log
-
     def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_atomic(out_dir / "runlog.csv", self.to_csv_text())
         write_atomic(out_dir / "runlog.json", json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
+
+
+# AdamW's moment decay rates and the guard added to its denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamW:
@@ -191,18 +176,18 @@ class AdamW:
     def step(self) -> None:
         cfg = self._cfg
         self._t += 1
-        bc1 = 1.0 - cfg.beta1**self._t
-        bc2 = 1.0 - cfg.beta2**self._t
+        bc1 = 1.0 - ADAM_BETA1**self._t
+        bc2 = 1.0 - ADAM_BETA2**self._t
         for name, p in self._items:
             g = p.grad
             if g is None:
                 continue
             m, v = self._m[name], self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.data -= cfg.learning_rate * (update + cfg.weight_decay * p.data)
             p.grad = None
 

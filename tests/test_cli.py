@@ -1,9 +1,11 @@
 import json
+import shlex
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
-from coper.cli import main
+from coper.cli import build_parser, main
 from coper.profiles import PROFILES, get_profile
 
 
@@ -240,25 +242,43 @@ class TestEndToEnd:
                 "categories.csv", "summary.json"} <= a.keys()
         assert [k for k in a if a[k] != b[k] and k != "stamp.json"] == []
 
-    def test_train_then_eval_then_plot(self, tmp_path, capsys, micro_config):
-        data = tmp_path / "d"
-        run(capsys, "gen", "--profile", "coper-default", "--out", str(data),
-            "--config", micro_config)
-        train_out = tmp_path / "t"
-        code, _, err = run(capsys, "train", "--profile", "coper-default", "--data", str(data),
-                           "--out", str(train_out), "--config", micro_config, "--seed", "2")
+    def test_gen_train_eval_match_run_experiment(self, tmp_path, capsys, micro_config):
+        code, _, err = run(capsys, "run-experiment", "coper-default", "--seed", "4",
+                           "--out", str(tmp_path / "exp"), "--config", micro_config)
         assert code == 0, err
-        eval_out = tmp_path / "e"
-        code, stdout, err = run(capsys, "eval", "--ckpt", str(train_out / "model.ckpt"),
-                                "--data", str(data), "--out", str(eval_out))
-        assert code == 0, err
-        assert "avg" in stdout
-        plot_out = tmp_path / "p"
-        code, _, err = run(capsys, "plot", "--runlog", str(train_out / "runlog.csv"),
-                           "--heatmap", str(eval_out / "heatmap.csv"), "--out", str(plot_out))
-        assert code == 0, err
-        assert (plot_out / "curves.svg").exists()
-        assert (plot_out / "heatmap.svg").exists()
+        data, train_out, eval_out = tmp_path / "d", tmp_path / "t", tmp_path / "e"
+        for argv in (["gen", "--seed", "4", "--out", str(data), "--config", micro_config],
+                     ["train", "--data", str(data), "--out", str(train_out), "--seed", "4",
+                      "--config", micro_config],
+                     ["eval", "--ckpt", str(train_out / "model.ckpt"), "--data", str(data),
+                      "--out", str(eval_out)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        exp = tmp_path / "exp"
+        assert (data / "train.jsonl").read_bytes() == (exp / "data" / "train.jsonl").read_bytes()
+        seed_dir = exp / "seed_4"
+        for name in ("model.ckpt", "runlog.csv", "runlog.json", "curves.csv", "curves.svg"):
+            assert (train_out / name).read_bytes() == (seed_dir / name).read_bytes(), name
+        for name in ("heatmap.csv", "heatmap.svg", "report.json"):
+            assert (eval_out / name).read_bytes() == (seed_dir / name).read_bytes(), name
+
+    def test_deleted_plot_command_exits_one(self, tmp_path, capsys):
+        code, _, err = run(capsys, "plot", "--runlog", str(tmp_path / "runlog.csv"),
+                           "--out", str(tmp_path / "p"))
+        assert code == 1 and "invalid choice: 'plot'" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_readme_quick_start_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("coper ")]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README quick start line does not parse: {line}")
 
     def test_flag_overrides_beat_config_file(self, tmp_path, capsys, micro_config):
         out = tmp_path / "exp"
@@ -298,9 +318,27 @@ class TestEndToEnd:
         assert code == 1
         assert f"config section '{section}'" in err and field in err
 
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "eps"])
+    def test_removed_adamw_field_fails_before_any_file(self, tmp_path, capsys, micro_config, field):
+        # As a settable beta1, 1.0 divides the bias correction by 1 - 1.0**t = 0
+        # and trains to non-finite weights.
+        data = tmp_path / "d"
+        run(capsys, "gen", "--out", str(data), "--config", micro_config)
+        config = tmp_path / "adam.json"
+        config.write_text(json.dumps({**MICRO_CONFIG, "train": {**MICRO_CONFIG["train"], field: 1.0}}))
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "t"),
+                           "--config", str(config))
+        assert code == 1
+        assert "config section 'train'" in err and field in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("config", [{"counts": [1, 2]}, {"counts": {"train": None}},
-                                        {"answer_cap": [3]}],
-                             ids=["counts_list", "null_count", "answer_cap_list"])
+                                        {"answer_cap": [3]}, {"model": {"n_heads": 0}},
+                                        {"model": {"n_heads": -4}}, {"model": {"d_model": 0}},
+                                        {"model": {"rope_base": 0}}, {"model": {"rope_base": -1.0}}],
+                             ids=["counts_list", "null_count", "answer_cap_list", "zero_heads",
+                                  "negative_heads", "zero_width", "zero_rope_base",
+                                  "negative_rope_base"])
     def test_malformed_config_value_fails_validation(self, tmp_path, capsys, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -329,8 +367,7 @@ class TestEndToEnd:
         ["verify", "--data", "{missing}"],
         ["eval", "--ckpt", "{missing}", "--data", "{missing}", "--out", "{out}"],
         ["train", "--data", "{missing}", "--out", "{out}"],
-        ["plot", "--runlog", "{missing}", "--out", "{out}"],
-    ], ids=["verify", "eval", "train", "plot"])
+    ], ids=["verify", "eval", "train"])
     def test_flag_naming_a_missing_file_fails_validation(self, tmp_path, capsys, argv):
         missing, out = tmp_path / "missing", tmp_path / "out"
         code, _, err = run(capsys, *[a.format(missing=missing, out=out) for a in argv])
@@ -374,10 +411,6 @@ class TestEndToEnd:
         assert code == 1
         assert f"task_params need {rule}" in err
         assert not (tmp_path / "d").exists()
-
-    def test_plot_without_inputs_fails_validation(self, tmp_path, capsys):
-        code, _, err = run(capsys, "plot", "--out", str(tmp_path / "p"))
-        assert code == 1
 
     def test_runtime_shape_error_exits_two(self, tmp_path, capsys, monkeypatch):
         from coper import evaluation

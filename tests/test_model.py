@@ -31,6 +31,17 @@ class TestConfig:
             ModelConfig(d_model=12, n_heads=4)  # head dim 3 cannot form rotation pairs
         ModelConfig(d_model=24, n_heads=2)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_heads": 0}, "n_heads must be >= 1"),
+        ({"n_heads": -4}, "n_heads must be >= 1"),
+        ({"d_model": 0}, "d_model and n_heads must be >= 1"),
+        ({"rope_base": 0.0}, "rope_base must be positive"),
+        ({"rope_base": -10000.0}, "rope_base must be positive"),
+    ], ids=["zero_heads", "negative_heads", "zero_width", "zero_rope_base", "negative_rope_base"])
+    def test_values_it_cannot_run_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**fields)
+
     def test_layer_range(self):
         with pytest.raises(ConfigError):
             ModelConfig(n_layers=9)
@@ -475,6 +486,13 @@ def _eval(tmp_path, variant):
     main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(tmp_path / "eval")])
 
 
+def _train(tmp_path, variant):
+    if variant == 0:
+        _gen(tmp_path, 0)
+    _cli(tmp_path, "train", "--data", str(tmp_path / "gen"), "--seed", str(variant),
+         "--out", str(tmp_path / "train"))
+
+
 def _experiment(tmp_path, variant):
     _cli(tmp_path, "run-experiment", "coper-default", "--seed", "1", "--epochs", str(1 + variant),
          "--out", str(tmp_path / "exp"))
@@ -488,6 +506,8 @@ ATOMIC_WRITERS = {
     "gen stamp.json": ("gen/stamp.json", _gen),
     "gen manifest.json": ("gen/manifest.json", _gen),
     "gen train.jsonl": ("gen/train.jsonl", _gen),
+    "train curves.csv": ("train/curves.csv", _train),
+    "train curves.svg": ("train/curves.svg", _train),
     "eval report.json": ("eval/report.json", _eval),
     "eval heatmap.csv": ("eval/heatmap.csv", _eval),
     "eval heatmap.svg": ("eval/heatmap.svg", _eval),
@@ -564,7 +584,8 @@ class TestCheckpoint:
         (lambda m: m["config"].pop("pe_kind"), "lacks fields ['pe_kind']"),
         (lambda m: m["config"].update(dropout=0.1), "unknown fields ['dropout']"),
         (lambda m: m["config"].update(pe_kind="alibi"), "is invalid: 'alibi'"),
-    ], ids=["missing_field", "unknown_field", "bad_value"])
+        (lambda m: m["config"].update(n_heads=0), "is invalid: d_model and n_heads must be >= 1"),
+    ], ids=["missing_field", "unknown_field", "bad_value", "zero_heads"])
     def test_foreign_config_rejected(self, tmp_path, capsys, edit, names):
         bad = self.edited(tmp_path, edit)
         with pytest.raises(CheckpointError, match=r"checkpoint config .*" + re.escape(names)):

@@ -266,14 +266,6 @@ class TestTeacherForcedMetrics:
 
 
 class TestRunLog:
-    def test_csv_round_trip(self, tiny_data):
-        model = Transformer(TINY_MODEL)
-        _, runlog = train(model, tiny_data,
-                          TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2, eval_every=1, seed=5))
-        parsed = RunLog.from_csv_text(runlog.to_csv_text())
-        assert [pt.epoch for pt in parsed.points] == [pt.epoch for pt in runlog.points]
-        assert parsed.final.split_loss.keys() == runlog.final.split_loss.keys()
-
     def test_epochs_strictly_increasing(self):
         from coper.training import EvalPoint
 
