@@ -23,7 +23,7 @@ from .codec import VOCAB_SIZE, encode
 from .dataset import Split, load_records
 from .model import ConfigError, Transformer, write_atomic
 from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
-                       ood_weighted)
+                       ood_weighted, read_window)
 
 
 class InvalidTarget(ValueError):
@@ -123,8 +123,9 @@ def decode_records(records, predictor):
     return list(zip(records, out))
 
 
-def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, float]]:
-    """Greedy answers of `samples` in order, and their answer-only (loss, accuracy).
+def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, float, int]]:
+    """Greedy answers of `samples` in order, and their answer-only (loss,
+    accuracy, token count).
 
     One `Transformer.decode` per length-sorted batch: its forward over the
     teacher-forced tokens is scored exactly as `teacher_forced_metrics`
@@ -135,12 +136,11 @@ def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, f
     for batch in length_batches(samples):
         rows = [samples[j] for j in batch]
         inputs, labels, mask = batch_arrays(rows, LossRegion.ANSWER_ONLY)
-        starts = np.array([s.answer_start for s in rows])
-        lengths = np.array([len(s.tokens) for s in rows]) - starts
-        logits, decoded = model.decode(inputs, starts, lengths)
+        extents, firsts = read_window(rows, LossRegion.ANSWER_ONLY)
+        logits, decoded = model.decode(inputs, extents, firsts)
         score.add(logits, labels, mask)
         for row, j in enumerate(batch):
-            answers[j] = decoded[row, :lengths[row]].tolist()
+            answers[j] = decoded[row, :extents[row] - firsts[row]].tolist()
     return answers, score.result()
 
 
@@ -164,15 +164,13 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
 
     grids: dict = {}
     split_accuracy: dict = {}
-    eval_sets: dict = {}
     scores: dict = {}
     for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
         records = load_records(data_dir, split)
         if not records:
             continue
-        eval_sets[split] = samples = encode_records(records)
         if predictor is None:
-            preds, scores[split] = _decode_and_score(model, samples)
+            preds, scores[split] = _decode_and_score(model, encode_records(records))
         else:
             preds = [pred for _, pred in decode_records(records, predictor)]
         grid = PairAccuracyGrid()
@@ -183,7 +181,7 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
         cells = grid.cells.values()
         split_accuracy[split.value] = sum(c for c, _ in cells) / sum(t for _, t in cells)
 
-    split_tf_loss, _ = ood_weighted(scores, eval_sets)
+    split_tf_loss, _ = ood_weighted(scores)
     ood_loss = split_tf_loss.pop("ood", None)
     report = CategoryReport(
         id_loss=split_tf_loss.get(Split.TEST_ID.value),

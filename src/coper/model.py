@@ -7,21 +7,17 @@ separate trainable matrix.  Positional information enters either as rotary
 rotations of queries/keys (ROPE), an additive sinusoidal table (SINPE), or
 not at all (NONE).
 
-`forward` and greedy decoding run the same layer code, which takes absolute
-positions, shared by the batch or given per row, and an optional key/value
-cache.  That code packs the real tokens of right-padded rows into one
-sequence for every per-token op; only attention and the cache see the
-padded (row, slot) layout.  A caller that reads each row's logits only from
-a first position on says so, and the last layer then runs its queries,
-attention rows, feed-forward and head only on the read tokens: attention
-is causal, so nothing else reads a last-layer output.  `decode` is the one
-greedy decoder.  It runs one causal forward over right-padded rows whose
-prompts end at per-row start positions; that forward's logits, read from
-each prompt's last token on, serve any answer-only teacher-forced scoring
-of the rows, and its own per-layer keys and values become the cache.  It then
-feeds one token per row per step at that row's own position and attends
-over the row's slots up to it, so every row sees exactly the positions it
-would see decoded alone.  `generate_greedy` right-pads prompts and calls it.
+`forward` and greedy decoding run the same layer code and describe a batch
+by one read window: right-padded rows, each row's real length (`extents`)
+and the first position whose logits are read (`firsts`).  That code packs
+the real tokens into one sequence for every per-token op; only attention
+and the key/value cache see the padded (row, slot) layout, and attention is
+causal, so the last layer runs from its queries on only on the read tokens.
+`decode` is the one greedy decoder.  It takes `forward`'s window, returns
+`forward`'s logits and keeps that forward's keys and values as its cache;
+then it feeds one token per row per step at the row's own next slot, so
+every row sees exactly the positions it would see decoded alone.
+`generate_greedy` right-pads prompts and calls it.
 """
 
 from __future__ import annotations
@@ -186,8 +182,17 @@ class Transformer:
         gradients of a loss over them alone, are those of the forward
         without firsts up to float rounding.
         """
-        tokens = self._checked(tokens)
+        return self._run(*self._window(tokens, extents, firsts))
+
+    def _window(self, tokens, extents, firsts) -> tuple:
+        """(tokens, extents, firsts) as arrays checked against the rules of
+        `forward`; given firsts without extents, every slot is real."""
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 2:
+            raise LengthError(f"tokens must be (batch, length), got {tokens.shape}")
         b, s = tokens.shape
+        if s > self.config.max_seq_len:
+            raise LengthError(f"length {s} exceeds max_seq_len {self.config.max_seq_len}")
         if extents is not None:
             extents = np.asarray(extents)
             if extents.shape != (b,):
@@ -204,49 +209,37 @@ class Transformer:
             if bad.size:
                 i = bad[0]
                 raise LengthError(f"first {firsts[i]} of row {i} is outside [0, {extents[i] - 1}]")
-        return self._run(tokens, slice(0, s), None, extents, firsts)
+        return tokens, extents, firsts
 
-    def _checked(self, tokens) -> np.ndarray:
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise LengthError(f"tokens must be (batch, length), got {tokens.shape}")
-        if tokens.shape[1] > self.config.max_seq_len:
-            raise LengthError(f"length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
-        return tokens
+    def _run(self, tokens: np.ndarray, extents: np.ndarray | None = None,
+             firsts: np.ndarray | None = None, cache: list | None = None,
+             offsets: np.ndarray | None = None) -> ad.Tensor:
+        """The layer stack over `tokens` (B, S), whose row i fills slots
+        offsets[i] onward.
 
-    def _run(self, tokens: np.ndarray, positions, cache: list | None = None,
-             extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> ad.Tensor:
-        """The layer stack over `tokens` (B, S) at absolute `positions`.
-
-        `positions` is a slice shared by every row, or a (B, S) array of
-        per-row positions.  `extents` (B,) is each row's real length (see
-        `forward`); None means every slot is real.  The T real tokens are
-        packed, row by row, into one (1, T, D) tensor on which the
-        embedding, the position table, every norm, projection, GELU, rope
+        `offsets` (B,) is each row's first slot, None meaning 0; a token's
+        slot is also its position in the rotary or sinusoid table.
+        `extents` and `firsts` are `forward`'s window; None extents means
+        every slot is real, and `firsts` needs `extents`.  The T real
+        tokens are packed, row by row, into one (1, T, D) tensor on which
+        the embedding, the position table, every norm, projection, GELU, rope
         and the head run.  `split_heads` scatters the queries, keys and
         values into zero-padded (B * H, S, d_head) tiles for attention and
         the cache, `merge_heads` gathers attention's output back, and a
         one-head split returns (B, S, vocab) logits, zero at padding.
-        `firsts` (B,), which needs `extents`, is each row's first read slot
-        (see `forward`).  Unless every real token is read, a one-head
-        `merge_heads` gathers the read tokens from the last layer's input
-        and its normed copy; the last layer's keys and values still cover
-        every real token, and everything from its queries on runs on the
-        read tokens only.
-        Without a cache, each query attends to the keys of `tokens` up to
-        its own slot.  `cache` is a list of per-layer (keys, values) arrays
-        of shape (B * H, slots, d_head).  Given empty, it receives each
-        layer's own rotated key and value tiles, so a full forward fills it
-        without a copy.  Given full, each layer first writes its rotated
-        keys and values at `positions`, whose rows must be runs of
-        consecutive slots, and each query then attends over its row's cache
-        slots up to its own position.
+        Unless every real token is read, a one-head `merge_heads` gathers
+        the read tokens from the last layer's input and its normed copy; the
+        last layer's keys and values still cover every real token.
+        `cache` is a list of per-layer (keys, values) arrays of shape
+        (B * H, slots, d_head).  Given empty, it receives each layer's own
+        rotated key and value tiles, so a full forward fills it without a
+        copy.  Given full, each layer first writes its rotated keys and
+        values at their slots, and each query attends over its row's cache
+        slots up to its own; without a cache, over `tokens` up to its own.
         """
         cfg = self.config
         h = cfg.n_heads
         b, s = tokens.shape
-        if isinstance(positions, slice):
-            positions = np.tile(np.arange(cfg.max_seq_len)[positions], (b, 1))
         # The packing: row and slot of each real token, and for each of its
         # heads the flat (row * H + head) * S + slot index into the tiles.
         lengths = np.full(b, s) if extents is None else extents
@@ -254,14 +247,14 @@ class Transformer:
         rows, cols = np.divmod(flat, s)
         slots = ((rows * h)[:, None] + np.arange(h)) * s + cols[:, None]
         tile = (b * h, s)
-        pos = np.take(positions, flat)
+        pos = cols if offsets is None else offsets[rows] + cols
         if cfg.pe_kind is PeKind.ROPE:
             cos, sin = np.take(self._rope_cos, pos, axis=0), np.take(self._rope_sin, pos, axis=0)
         head_extents = None if extents is None else np.repeat(extents, h)
-        offsets = None
-        if cache:  # each layer writes its keys and values at `positions`, where its queries sit
-            written = (np.arange(b * h)[:, None], np.repeat(positions, h, axis=0))
-            width, offsets = positions.max() + 1, np.repeat(positions[:, 0], h)
+        head_offsets = None if offsets is None else np.repeat(offsets, h)
+        if cache:  # each layer writes its keys and values at the slots where its queries sit
+            written = (np.arange(b * h)[:, None], np.repeat(offsets[:, None] + np.arange(s), h, axis=0))
+            width = offsets.max() + s
         # The packed indices of the tokens whose last-layer outputs are read;
         # None when every real token is.
         read = None if firsts is None or not firsts.any() else np.flatnonzero(cols >= firsts[rows])
@@ -294,7 +287,7 @@ class Transformer:
                 keys, values = cache[layer]
                 keys[written], values[written] = k.data, v.data
                 k, v = ad.Tensor(keys[:, :width]), ad.Tensor(values[:, :width])
-            o = ad.merge_heads(ad.attention(q, k, v, offsets, head_extents, q_firsts), q_slots)
+            o = ad.merge_heads(ad.attention(q, k, v, head_offsets, head_extents, q_firsts), q_slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
             f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
@@ -304,56 +297,40 @@ class Transformer:
         out_slots = flat[:, None] if read is None else flat[read, None]
         return ad.split_heads(ad.matmul(x, self.params["head"]), out_slots, (b, s))
 
-    def decode(self, tokens, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
-        """One forward's logits and each row's greedy answer: (logits, answers).
+    def decode(self, tokens, extents, firsts) -> tuple[np.ndarray, np.ndarray]:
+        """`forward`'s logits and each row's greedy answer: (logits, answers).
 
-        `tokens` (B, S) holds right-padded rows.  Row i's prompt is
-        tokens[i, :starts[i]], and its answer is `lengths[i]` >= 1 tokens
-        long; prompt plus answer must fit max_seq_len, and S must hold every
-        row's starts[i] + lengths[i] - 1 slots.  One causal forward over
-        `tokens` gives the (B, S, vocab) logits, and its keys and values
-        become the cache.  It takes starts[i] + lengths[i] - 1 as row i's
-        extent and reads row i's logits from starts[i] - 1, its prompt's
-        last token, on: the logits are those of `forward(tokens, starts +
-        lengths - 1, starts - 1)`, so they cover every position an
-        answer-only score reads and are zero before starts[i] - 1 and past
-        each row's extent.  The cache holds the keys and values of every
-        real token; its slots past a row's extent, which decoding
-        overwrites before reading, are zero padding.  Each row's first
-        answer token is the argmax at starts[i] - 1.  Every later step feeds
-        each row's newest token at its next absolute position, overwriting
-        that slot, and attends over the row's slots up to it, so whatever
-        `tokens` holds after a prompt is never seen.  A step runs only the
-        span of rows from the first to the last whose answer is unfinished;
-        a finished row inside it stays on its last slot.  `answers` is (B,
-        max(lengths)), zero past each row's length; ties resolve to the
-        smallest id.
+        Takes `forward`'s arguments: row i's prompt is tokens[i, :firsts[i] +
+        1] and its answer is extents[i] - firsts[i] tokens, which must fit
+        max_seq_len together.  The logits are those of `forward(tokens,
+        extents, firsts)`, and that forward's keys and values become the
+        cache.  Each row's first answer token is the argmax at firsts[i].
+        Every later step feeds each row's newest token at its next slot,
+        overwriting that slot, and attends over the row's slots up to it, so
+        whatever `tokens` holds after a prompt is never seen.  A step runs
+        only the span of rows from the first to the last whose answer is
+        unfinished; a finished row inside it stays on its last slot.
+        `answers` is (B, longest answer), zero past each row's answer; ties
+        resolve to the smallest id.
         """
-        tokens = self._checked(tokens)
-        starts, lengths = np.asarray(starts), np.asarray(lengths)
-        b, s = tokens.shape
-        if starts.min() < 1 or lengths.min() < 1:
-            raise LengthError("every row needs a non-empty prompt and answer")
-        cfg = self.config
-        too_long = np.flatnonzero(starts + lengths > cfg.max_seq_len)
+        tokens, extents, firsts = self._window(tokens, extents, firsts)
+        too_long = np.flatnonzero(extents >= self.config.max_seq_len)
         if too_long.size:
             i = too_long[0]
-            raise LengthError(f"prompt {starts[i]} + {lengths[i]} new tokens exceeds "
-                              f"max_seq_len {cfg.max_seq_len}")
-        last = starts + lengths - 2  # slot of each row's last fed token
-        if last.max() >= s:
-            raise LengthError(f"tokens of length {s} cannot hold slot {last.max()}")
+            raise LengthError(f"prompt {firsts[i] + 1} + {extents[i] - firsts[i]} new tokens exceeds "
+                              f"max_seq_len {self.config.max_seq_len}")
         cache = []
-        logits = self._run(tokens, slice(0, s), cache, last + 1, starts - 1).data
+        logits = self._run(tokens, extents, firsts, cache).data
+        b, h = len(tokens), self.config.n_heads
+        lengths = extents - firsts
         answers = np.zeros((b, int(lengths.max())), dtype=np.int64)
-        answers[:, 0] = logits[np.arange(b), starts - 1].argmax(axis=-1)
-        h = cfg.n_heads
+        answers[:, 0] = logits[np.arange(b), firsts].argmax(axis=-1)
         for step in range(1, answers.shape[1]):
             live = np.flatnonzero(lengths > step)
             lo, hi = live[0], live[-1] + 1  # the span of rows still decoding
-            pos = np.minimum(starts[lo:hi] + (step - 1), last[lo:hi])  # where each row's newest token sits
+            slot = np.minimum(firsts[lo:hi] + step, extents[lo:hi] - 1)  # each row's newest token
             span = [(keys[lo * h:hi * h], values[lo * h:hi * h]) for keys, values in cache]
-            step_logits = self._run(answers[lo:hi, step - 1:step], pos[:, None], span).data
+            step_logits = self._run(answers[lo:hi, step - 1:step], cache=span, offsets=slot).data
             answers[lo:hi, step] = np.where(lengths[lo:hi] > step, step_logits[:, 0].argmax(axis=-1), 0)
         return logits, answers
 
@@ -373,7 +350,7 @@ class Transformer:
         tokens = np.full((len(rows), int(starts.max()) + n - 1), PAD_ID, dtype=np.int64)
         for i, r in enumerate(rows):
             tokens[i, :r.size] = r
-        return self.decode(tokens, starts, np.full(len(rows), n))[1]
+        return self.decode(tokens, starts + n - 1, starts - 1)[1]
 
     def state_tensors(self) -> dict[str, ad.Tensor]:
         """Everything a checkpoint stores, frozen embedding included."""

@@ -24,7 +24,7 @@ from .model import Transformer, save_checkpoint, write_atomic
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or gradient; carries the last good parameters."""
+    """Training hit a non-finite loss, gradient or parameter; carries the last good parameters."""
 
     def __init__(self, epoch: int, state: dict, what: str):
         super().__init__(f"non-finite {what} at epoch {epoch}")
@@ -49,8 +49,10 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "loss_region", LossRegion(self.loss_region))
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("rates must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0
+                and np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"learning_rate must be finite and > 0 and weight_decay finite and >= 0, "
+                             f"got {self.learning_rate} and {self.weight_decay}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size, and eval_every must be >= 1")
 
@@ -80,26 +82,22 @@ def batch_arrays(samples: list[EncodedSample], loss_region: LossRegion):
     b = len(samples)
     tokens = np.full((b, max_len), PAD_ID, dtype=np.int16)
     mask = np.zeros((b, max_len - 1), dtype=np.float32)
-    firsts = _firsts(samples, loss_region)
+    extents, firsts = read_window(samples, loss_region)
     for i, s in enumerate(samples):
-        n = len(s.tokens)
-        tokens[i, :n] = s.tokens
-        mask[i, firsts[i]:n - 1] = 1.0
+        tokens[i, :len(s.tokens)] = s.tokens
+        mask[i, firsts[i]:extents[i]] = 1.0
     return tokens[:, :-1], tokens[:, 1:].astype(np.int64), mask
 
 
-def _extents(samples: list[EncodedSample]) -> np.ndarray:
-    """Each sample's real length in its `batch_arrays` inputs, for `Transformer.forward`."""
-    return np.array([len(s.tokens) - 1 for s in samples])
-
-
-def _firsts(samples: list[EncodedSample], loss_region: LossRegion) -> np.ndarray:
-    """Each sample's first position in its `batch_arrays` inputs whose
-    prediction the loss mask selects.  `Transformer.forward` takes them:
-    no logit before them is read, so its last layer skips those tokens."""
+def read_window(samples: list[EncodedSample], loss_region: LossRegion) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's (extent, first) in its `batch_arrays` inputs, the window
+    `Transformer.forward` and `decode` take: its real length, and its first
+    position whose prediction the loss mask selects (for an answer-only
+    loss, its prompt's last token)."""
+    extents = np.array([len(s.tokens) - 1 for s in samples])
     if loss_region is LossRegion.ANSWER_ONLY:
-        return np.array([s.answer_start - 1 for s in samples])
-    return np.zeros(len(samples), dtype=np.int64)
+        return extents, np.array([s.answer_start - 1 for s in samples])
+    return extents, np.zeros(len(samples), dtype=np.int64)
 
 
 def _epoch_batches(samples, batch_size: int, rng: np.random.Generator):
@@ -219,12 +217,14 @@ class TokenScore:
         self.correct += int(((logits.argmax(axis=-1) == labels) * mask).sum())
         self.count += int(mask.sum())
 
-    def result(self) -> tuple[float, float]:
-        return self.loss / self.count, self.correct / self.count
+    def result(self) -> tuple[float, float, int]:
+        """(mean loss, accuracy, token count)."""
+        return self.loss / self.count, self.correct / self.count, self.count
 
 
-def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion) -> tuple[float, float]:
-    """Mean next-token loss and accuracy over the masked region (no decoding).
+def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion) -> tuple[float, float, int]:
+    """Mean next-token loss, accuracy and token count over the masked region
+    (no decoding).
 
     Samples are scored in `length_batches`; the totals do not depend on the
     batching.
@@ -233,24 +233,23 @@ def teacher_forced_metrics(model: Transformer, samples, loss_region: LossRegion)
     for batch in length_batches(samples):
         rows = [samples[i] for i in batch]
         inputs, labels, mask = batch_arrays(rows, loss_region)
-        score.add(model.forward(inputs, _extents(rows), _firsts(rows, loss_region)).data, labels, mask)
+        score.add(model.forward(inputs, *read_window(rows, loss_region)).data, labels, mask)
     return score.result()
 
 
-def ood_weighted(scores: dict, eval_sets: dict) -> tuple[dict, dict]:
+def ood_weighted(scores: dict) -> tuple[dict, dict]:
     """Per-split (loss, accuracy) as (losses, accuracies) keyed by split value.
 
-    `scores` maps each scored test Split to its (loss, accuracy), and
-    `eval_sets` each Split to its encoded samples; the losses also carry
-    "ood", the OOD splits' losses weighted by answer tokens.
+    `scores` maps each scored test Split to its answer-only (loss, accuracy,
+    token count); the losses also carry "ood", the OOD splits' losses
+    weighted by their answer tokens.
     """
-    split_loss = {split.value: loss for split, (loss, _) in scores.items()}
-    split_acc = {split.value: acc for split, (_, acc) in scores.items()}
-    ood_tokens = {s: sum(len(x.tokens) - x.answer_start for x in eval_sets[s])
-                  for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in scores}
-    ood_total = sum(ood_tokens.values())
+    split_loss = {split.value: loss for split, (loss, _, _) in scores.items()}
+    split_acc = {split.value: acc for split, (_, acc, _) in scores.items()}
+    ood = [scores[s] for s in (Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION) if s in scores]
+    ood_total = sum(n for _, _, n in ood)
     if ood_total:
-        split_loss["ood"] = sum(split_loss[s.value] * n for s, n in ood_tokens.items()) / ood_total
+        split_loss["ood"] = sum(loss * n for loss, _, n in ood) / ood_total
     return split_loss, split_acc
 
 
@@ -258,7 +257,12 @@ def split_metrics(model: Transformer, eval_sets: dict) -> tuple[dict, dict]:
     """Answer-only teacher-forced (losses, accuracies) of every test split in
     `eval_sets`, with "ood" (see `ood_weighted`)."""
     return ood_weighted({split: teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
-                         for split, samples in eval_sets.items()}, eval_sets)
+                         for split, samples in eval_sets.items()})
+
+
+def _all_finite(arrays) -> bool:
+    # min and max carry any NaN or inf without allocating a mask per array.
+    return all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in arrays)
 
 
 def _snapshot(model: Transformer) -> dict:
@@ -303,15 +307,13 @@ def train(
         for batch in _epoch_batches(train_samples, config.batch_size, rng):
             inputs, labels, mask = batch_arrays(batch, config.loss_region)
             with ad.Tape() as tape:
-                logits = model.forward(inputs, _extents(batch), _firsts(batch, config.loss_region))
+                logits = model.forward(inputs, *read_window(batch, config.loss_region))
                 loss = ad.cross_entropy(logits, labels, mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise DivergenceError(epoch, last_good, "loss")
             tape.backward(loss)
-            # min and max carry any NaN or inf without allocating a mask per parameter.
-            if not all(np.isfinite(p.grad.min()) and np.isfinite(p.grad.max())
-                       for p in params if p.grad is not None):
+            if not _all_finite(p.grad for p in params if p.grad is not None):
                 raise DivergenceError(epoch, last_good, "gradient")
             opt.step()
             epoch_loss += loss_val
@@ -319,6 +321,9 @@ def train(
             steps += 1
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
+            # A finite gradient can still step a weight past float32's range.
+            if not _all_finite(p.data for p in params):
+                raise DivergenceError(epoch, last_good, "parameters")
             split_loss, split_acc = split_metrics(model, eval_sets)
             point = EvalPoint(epoch, epoch_loss / max(n_batches, 1), split_loss, split_acc)
             runlog.append(point)

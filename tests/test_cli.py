@@ -332,6 +332,36 @@ class TestEndToEnd:
         assert "config section 'train'" in err and field in err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("field, value", [("learning_rate", float("nan")),
+                                              ("learning_rate", float("inf")),
+                                              ("weight_decay", float("nan")),
+                                              ("weight_decay", float("inf"))])
+    def test_non_finite_rate_fails_before_any_file(self, tmp_path, capsys, micro_config, field, value):
+        data = tmp_path / "d"
+        run(capsys, "gen", "--out", str(data), "--config", micro_config)
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({**MICRO_CONFIG, "train": {**MICRO_CONFIG["train"], field: value}}))
+        assert ("NaN" if value != value else "Infinity") in config.read_text()
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "t"),
+                           "--config", str(config))
+        assert code == 1
+        assert "config section 'train'" in err and field in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_parameters_a_step_made_non_finite_are_never_saved(self, tmp_path, capsys, micro_config):
+        # One batch of the 40 training records, whose finite gradient a
+        # 1e39 learning rate turns into weights past float32's range.
+        data, out = tmp_path / "d", tmp_path / "t"
+        run(capsys, "gen", "--out", str(data), "--config", micro_config)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({**MICRO_CONFIG, "train": {
+            **MICRO_CONFIG["train"], "batch_size": 64, "learning_rate": 1e39, "epochs": 1}}))
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out), "--config", str(config))
+        assert code == 2
+        assert "DivergenceError: non-finite parameters at epoch 1" in err
+        assert not [f for f in ("model.ckpt", "runlog.csv", "runlog.json") if (out / f).exists()]
+
     @pytest.mark.parametrize("config", [{"counts": [1, 2]}, {"counts": {"train": None}},
                                         {"answer_cap": [3]}, {"model": {"n_heads": 0}},
                                         {"model": {"n_heads": -4}}, {"model": {"d_model": 0}},

@@ -213,17 +213,17 @@ class TestFusedEvaluate:
         prefill_firsts = []
         run = Transformer._run
 
-        def counting(self, tokens, positions, cache=None, extents=None, firsts=None):
-            if isinstance(positions, slice):
+        def counting(self, tokens, extents=None, firsts=None, cache=None, offsets=None):
+            if offsets is None:  # a prefill: decoding steps pass each row's slot
                 full_forwards.append(tokens.shape)
                 prefill_extents.append(extents.tolist())
                 prefill_firsts.append(firsts.tolist())
-            return run(self, tokens, positions, cache, extents, firsts)
+            return run(self, tokens, extents, firsts, cache, offsets)
 
         monkeypatch.setattr(Transformer, "_run", counting)
         result = evaluate(model, data)
         teacher_forced = []  # (rows, width) of each batch's [BOS] + input + target[:-1]
-        real = []  # each batch's starts + lengths - 1: the real length of every row
+        real = []  # each batch's extents: the real length of every row
         read = []  # each batch's answer_start - 1: the first position the answer-only score reads
         for recs in records.values():
             samples = sorted(training.encode_records(recs), key=lambda s: len(s.tokens))

@@ -191,8 +191,9 @@ class TestForward:
         for bad, message in (([9, 10, 4], "extent 10 of row 1"), ([-1, 3, 4], "extent -1 of row 0"),
                              ([5, 2, 0], "extent 0 of row 2"), ([3, 4], r"shape \(3,\), got \(2,\)"),
                              ([[3, 4, 5]], r"got \(1, 3\)")):
-            with pytest.raises(LengthError, match=message):
-                model.forward(tokens, np.array(bad))
+            for call in (model.forward, model.decode):  # one window, one check
+                with pytest.raises(LengthError, match=message):
+                    call(tokens, np.array(bad), np.zeros(3, dtype=np.int64))
 
     @pytest.mark.parametrize("n_layers", [1, 2])  # one layer: the only layer is the last
     @pytest.mark.parametrize("kind", list(PeKind))
@@ -249,8 +250,9 @@ class TestForward:
     def test_firsts_are_validated(self, extents, bad, message):
         model = Transformer(TINY)
         extents = None if extents is None else np.array(extents)
-        with pytest.raises(LengthError, match=message):
-            model.forward(np.zeros((3, 9), dtype=np.int64), extents, np.array(bad))
+        for call in (model.forward, model.decode):  # one window, one check
+            with pytest.raises(LengthError, match=message):
+                call(np.zeros((3, 9), dtype=np.int64), extents, np.array(bad))
 
     def test_logits_shape(self):
         model = Transformer(TINY)
@@ -391,32 +393,33 @@ class TestGenerate:
     def test_decode_scores_the_whole_rows_and_decodes_from_the_prompts(self, kind):
         model = Transformer(replace(TINY, pe_kind=kind))
         rng = np.random.default_rng(14)
-        starts, lengths = np.array([50, 10, 23]), np.array([5, 30, 1])  # each fits; 50 + 30 would not
-        tokens = rng.integers(0, 17, size=(3, int((starts + lengths).max()) - 1))
-        logits, answers = model.decode(tokens, starts, lengths)
-        assert np.array_equal(logits, model.forward(tokens, starts + lengths - 1, starts - 1).data)
+        # Prompts of 50, 10 and 23 tokens, answers of 5, 30 and 1: each fits, 50 + 30 would not.
+        extents, firsts = np.array([54, 39, 23]), np.array([49, 9, 22])
+        tokens = rng.integers(0, 17, size=(3, 54))
+        logits, answers = model.decode(tokens, extents, firsts)
+        assert np.array_equal(logits, model.forward(tokens, extents, firsts).data)
         # Every position an answer-only score reads, from each prompt's last token on.
-        read = (np.arange(tokens.shape[1]) >= starts[:, None] - 1) & (
-            np.arange(tokens.shape[1]) < (starts + lengths - 1)[:, None])
+        read = (np.arange(54) >= firsts[:, None]) & (np.arange(54) < extents[:, None])
         np.testing.assert_allclose(logits[read], model.forward(tokens).data[read], rtol=1e-5, atol=1e-6)
         assert not logits[~read].any()
         assert answers.shape == (3, 30)
-        for row, (start, n) in enumerate(zip(starts, lengths)):
-            alone = model.generate_greedy([tokens[row, :start]], int(n))[0]
+        for row, (first, n) in enumerate(zip(firsts, extents - firsts)):
+            alone = model.generate_greedy([tokens[row, :first + 1]], int(n))[0]
             assert answers[row, :n].tolist() == alone.tolist()
             assert not answers[row, n:].any()
         after_prompts = tokens.copy()
-        for row, start in enumerate(starts):
-            after_prompts[row, start:] = rng.integers(0, 17, size=tokens.shape[1] - start)
-        assert np.array_equal(model.decode(after_prompts, starts, lengths)[1], answers)
+        for row, first in enumerate(firsts):
+            after_prompts[row, first + 1:] = rng.integers(0, 17, size=53 - first)
+        assert np.array_equal(model.decode(after_prompts, extents, firsts)[1], answers)
 
     def test_decode_rejects_a_row_that_does_not_fit(self):
         model = Transformer(TINY)
-        tokens = np.zeros((2, 60), dtype=np.int64)
-        with pytest.raises(LengthError, match="40 \\+ 25"):
-            model.decode(tokens, np.array([10, 40]), np.array([5, 25]))
-        with pytest.raises(LengthError, match="cannot hold slot 60"):  # fits, but not in 60 slots
-            model.decode(tokens, np.array([10, 3]), np.array([52, 1]))
+        # Row 1: a 40-token prompt and a 25-token answer need 65 slots.
+        with pytest.raises(LengthError, match="prompt 40 \\+ 25 new tokens exceeds max_seq_len 64"):
+            model.decode(np.zeros((2, 64), dtype=np.int64), np.array([14, 64]), np.array([9, 39]))
+        # Fits max_seq_len, but not the 60 slots of `tokens`.
+        with pytest.raises(LengthError, match=r"extent 61 of row 0 is outside \[1, 60\]"):
+            model.decode(np.zeros((2, 60), dtype=np.int64), np.array([61, 3]), np.array([9, 2]))
 
     def test_equal_length_array_matches_list_of_rows(self):
         model = Transformer(TINY)

@@ -200,6 +200,31 @@ class TestTraining:
         assert np.isfinite(model.parameters()["head"].data).all()  # the update never ran
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_non_finite_parameters_raise_at_the_eval_point_before_any_save(self, tiny_data, tmp_path):
+        # One batch: its gradient is finite, but a 1e39 step takes weights past
+        # float32's range, and no later loss or gradient would show it.
+        model = Transformer(TINY_MODEL)
+        initial = {name: t.data.copy() for name, t in model.state_tensors().items()}
+        out = tmp_path / "run"
+        with pytest.raises(DivergenceError, match="non-finite parameters at epoch 1") as info:
+            train(model, tiny_data, TrainConfig(batch_size=24, learning_rate=1e39, epochs=1, seed=6),
+                  out_dir=out)
+        assert not all(np.isfinite(t.data).all() for t in model.parameters().values())
+        assert info.value.epoch == 1
+        assert info.value.state.keys() == initial.keys()
+        for name, data in initial.items():
+            assert np.array_equal(info.value.state[name], data), name
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
+        ("weight_decay", np.nan), ("weight_decay", np.inf), ("weight_decay", -0.01),
+    ])
+    def test_rates_it_cannot_run_rejected(self, field, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(**{field: value})
+
     def test_checkpoint_reload_matches(self, tiny_data, tmp_path):
         model = Transformer(TINY_MODEL)
         train(model, tiny_data,
@@ -211,7 +236,7 @@ class TestTraining:
     def test_a_padded_step_with_extents_updates_bit_identically(self, tiny_data, monkeypatch):
         samples = sorted(encode_records(load_records(tiny_data, Split.TRAIN)), key=lambda s: len(s.tokens))
         batch = samples[::3]
-        extents = training._extents(batch)
+        extents, _ = training.read_window(batch, LossRegion.FULL_SEQUENCE)
         assert len(set(extents.tolist())) > 1
         inputs, labels, mask = batch_arrays(batch, LossRegion.FULL_SEQUENCE)
         # Three (row, head) pairs per attention block: blocks straddle rows.
@@ -258,10 +283,11 @@ class TestTeacherForcedMetrics:
 
         monkeypatch.setattr(training, "batch_arrays", recording)
         monkeypatch.setattr(training, "TF_BATCH_SIZE", 3)
-        loss, acc = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
+        loss, acc, count = teacher_forced_metrics(model, samples, LossRegion.ANSWER_ONLY)
         lengths = [n for batch in batches for n in batch]
         assert lengths == sorted(len(s.tokens) for s in samples)
-        assert acc == one_batch[1]
+        assert (acc, count) == one_batch[1:]
+        assert count == sum(len(s.tokens) - s.answer_start for s in samples)
         assert loss == pytest.approx(one_batch[0], rel=1e-9)
 
 
