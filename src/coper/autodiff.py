@@ -34,13 +34,14 @@ mask, from each query's key slot, and the 1/sqrt(d) scale, from q's last
 dim, so no caller builds either.  Its forward walks the (batch * heads)
 axis in blocks whose score tile is about _ATTENTION_BLOCK_BYTES, builds the
 masked softmax in place in one buffer with float64 row sums, and keeps only
-the per-row log-sum-exp; its backward recomputes each block's probabilities
-from q, k and that log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
-Keys may outnumber queries, which is how a decoding step attends over its
-key/value cache: per-row offsets place each row's queries at their slots.
-Given each row's extent, the real length of a right-padded row, and
-optionally its first, the first query whose output is read, a block's tile
-covers only the query rows [min first, max extent) and the keys [0, max
+the per-row log-sum-exp, and that only when a tape records the op; its
+backward recomputes each block's probabilities from q, k and that
+log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
+Every call describes its rows by one window: each row's offset, the key
+slot of its first query, which lets a decoding step attend over its
+key/value cache; its extent, the real length of a right-padded row; and its
+first, the first query whose output is read.  A block's tile covers only
+the query rows [min first, max extent) and the keys [0, max offset + max
 extent) of its rows: the read positions are unchanged, and the query rows
 outside that window get zero output and zero gradient.
 GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
@@ -164,15 +165,17 @@ class Tape:
                     grads[link] = gi
 
 
-def _active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
+def _recording_tape(inputs: tuple) -> Tape | None:
+    """The active tape if it records an op on `inputs`: one of them needs a gradient."""
+    if _TAPES and any(i.requires_grad for i in inputs):
+        return _TAPES[-1]
+    return None
 
 
 def _wrap(data, inputs: tuple, backward_fn) -> Tensor:
-    tape = _active_tape()
-    needs = tape is not None and any(i.requires_grad for i in inputs)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
+    tape = _recording_tape(inputs)
+    out = Tensor(data, requires_grad=tape is not None)
+    if tape is not None:
         tape._record(out, inputs, backward_fn)
     return out
 
@@ -274,29 +277,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None
               extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> Tensor:
     """Causal softmax(q @ k^T / sqrt(D) + mask) @ v as one op.
 
-    q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq,
-    so Sq queries can attend over a longer key cache.  Query j of row i sits
-    at key slot offsets[i] + j, or at slot j without `offsets`, and sees the
-    keys at slots up to its own; the mask that hides the later keys and the
-    scale 1 / sqrt(D) are derived here, never passed in.  `offsets`, an (N,)
-    int array, must hold values in [0, Sk - Sq].  Rows of the leading axis
-    are processed in blocks; the probabilities are never stored, only each
+    q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq.
+    Every call describes its rows by one window of three (N,) int arrays:
+    query j of row i sits at key slot offsets[i] + j and sees the keys at
+    slots up to its own, its queries from extents[i] on are right padding,
+    and those before firsts[i] are unread.  Omitted, they are zeros, Sq and
+    zeros; each offset must be in [0, Sk - Sq], each extent in [1, Sq] and
+    each first in [0, its row's extent - 1].  The mask and the scale
+    1 / sqrt(D) are derived here, never passed in.  Rows of the leading
+    axis are processed in blocks, and each block's tile covers only the
+    query rows [min first, max extent) against the keys [0, max offset +
+    max extent) of its rows.  The output and gradients of every read query
+    are unchanged as long as the loss reads no padded or unread query;
+    output rows and dq outside a block's query rows are zero, and so are dk
+    and dv past its keys.  The probabilities are never stored, only each
     score row's log-sum-exp, and backward recomputes them block by block.
-
-    `extents`, an (N,) int array, marks row i's queries and keys at
-    positions >= extents[i] as right padding; it needs Sq == Sk and no
-    offsets.  Each block then works only on the [:e, :e] corner of its
-    score tile, e being the largest extent among its rows.  Every real
-    position's output and gradients are unchanged; output rows past e are
-    zero, and so are dq, dk and dv there.
-
-    `firsts`, an (N,) int array that needs `extents`, marks row i's queries
-    before firsts[i] as unread: each must be in [0, extents[i] - 1].  Each
-    block's tile then covers only the query rows [f, e), f being the
-    smallest first among its rows, against the keys [0, e).  The output and
-    gradients of every query in [firsts[i], extents[i]) are unchanged as
-    long as the loss reads no query before firsts[i]; output rows and dq
-    before f are zero.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2]
@@ -304,49 +299,50 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None
         raise ShapeError(f"cannot attend with q {qd.shape}, k {kd.shape}, v {vd.shape}")
     n, sq, _ = qd.shape
     sk = kd.shape[1]
-    if offsets is not None:
-        offsets = np.asarray(offsets)
-        if offsets.shape != (n,) or offsets.min() < 0 or offsets.max() > sk - sq:
-            raise ShapeError(f"offsets must be {n} values in [0, {sk - sq}]")
-    if extents is not None:
-        extents = np.asarray(extents)
-        if offsets is not None or sk != sq:
-            raise ShapeError(f"extents need square scores and no offsets, got q {qd.shape}, k {kd.shape}")
-        if extents.shape != (n,) or extents.min() < 1 or extents.max() > sq:
-            raise ShapeError(f"extents must be {n} values in [1, {sq}]")
-    if firsts is not None:
-        firsts = np.asarray(firsts)
-        if extents is None:
-            raise ShapeError("firsts need extents")
-        if firsts.shape != (n,) or ((firsts < 0) | (firsts >= extents)).any():
-            raise ShapeError(f"firsts must be {n} values, each in [0, its row's extent - 1]")
+    offsets = np.zeros(n, dtype=np.int64) if offsets is None else np.asarray(offsets)
+    extents = np.full(n, sq) if extents is None else np.asarray(extents)
+    firsts = np.zeros(n, dtype=np.int64) if firsts is None else np.asarray(firsts)
+    rules = (f"offsets must be {n} values in [0, {sk - sq}]", f"extents must be {n} values in [1, {sq}]",
+             f"firsts must be {n} values, each in [0, its row's extent - 1]")
+    for a, rule in zip((offsets, extents, firsts), rules):
+        if a.shape != (n,):
+            raise ShapeError(rule)
     dtype = qd.dtype
-    scale = float(1.0 / np.sqrt(qd.shape[-1]))
-    slot, own = np.arange(sk), np.arange(sq)[:, None]  # key slots; each query's own without offsets
-    if offsets is None:  # one additive 0 / -inf tile, shared by every row
-        mask = np.where(slot > own, -np.inf, 0.0).astype(dtype)
     step = max(1, _ATTENTION_BLOCK_BYTES // (sq * sk * dtype.itemsize))
+    # Per block of rows [lo, lo + step): the smallest first, the largest
+    # extent and the largest offset among its rows.
+    los = np.arange(0, n, step)
+    fq, eq, top = (np.minimum.reduceat(firsts, los).tolist(), np.maximum.reduceat(extents, los).tolist(),
+                   np.maximum.reduceat(offsets, los).tolist())
+    if offsets.min() < 0 or max(top) > sk - sq:
+        raise ShapeError(rules[0])
+    if extents.min() < 1 or max(eq) > sq:
+        raise ShapeError(rules[1])
+    if min(fq) < 0 or (firsts >= extents).any():
+        raise ShapeError(rules[2])
     # (lo, hi, fq, eq, ek): each block's rows, its tile's query rows [fq, eq)
-    # and its keys [0, ek); without `extents` these are [0, Sq) and Sk, with
-    # them Sq == Sk.
-    blocks = []
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        eq = sq if extents is None else int(extents[lo:hi].max())
-        fq = 0 if firsts is None else int(firsts[lo:hi].min())
-        blocks.append((lo, hi, fq, eq, eq + sk - sq))
+    # and its keys [0, ek).
+    blocks = [(lo, min(lo + step, n), f, e, o + e) for lo, f, e, o in zip(los.tolist(), fq, eq, top)]
+    scale = float(1.0 / np.sqrt(qd.shape[-1]))
+    slot, own = np.arange(sk), np.arange(sq)[:, None]  # key slots; each query's own at offset 0
+    # Zero offsets share one additive 0 / -inf tile; adding it costs less
+    # than masking each row's tile by its own offset.
+    shared = max(top) == 0
+    if shared:
+        mask = np.where(slot > own, -np.inf, 0.0).astype(dtype)
     buf = np.empty(min(step, n) * sq * sk, dtype=dtype)
     out = np.empty((n, sq, vd.shape[-1]), dtype=dtype)
-    lse = np.empty((n, sq, 1), dtype=dtype)
+    taped = _recording_tape((q, k, v)) is not None
+    lse = np.empty((n, sq, 1), dtype=dtype) if taped else None  # only a backward reads it
 
     def scores(lo, hi, fq, eq, ek):
         sc = buf[:(hi - lo) * (eq - fq) * ek].reshape(hi - lo, eq - fq, ek)
         np.matmul(qd[lo:hi, fq:eq], _swap_last(kd[lo:hi, :ek]), out=sc)
         sc *= scale
-        if offsets is None:
+        if shared:
             sc += mask[fq:eq, :ek]
         else:  # query j of row i sees the keys up to slot offsets[i] + j
-            np.copyto(sc, -np.inf, where=slot > offsets[lo:hi, None, None] + own)
+            np.copyto(sc, -np.inf, where=slot[:ek] > offsets[lo:hi, None, None] + own[fq:eq])
         return sc
 
     for lo, hi, fq, eq, ek in blocks:
@@ -359,7 +355,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None
         np.matmul(p, vd[lo:hi, :ek], out=out[lo:hi, fq:eq])
         out[lo:hi, :fq] = 0.0
         out[lo:hi, eq:] = 0.0
-        lse[lo:hi, fq:eq] = m + np.log(denom)
+        if taped:
+            lse[lo:hi, fq:eq] = m + np.log(denom)
 
     def backward(g):
         dq = np.empty_like(qd) if q.requires_grad else None

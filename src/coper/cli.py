@@ -103,16 +103,21 @@ def _resolve(args: argparse.Namespace):
     if "counts" in cfg:
         if not isinstance(cfg["counts"], dict):
             raise ValidationFailure("config section 'counts' is not an object")
+        for split, n in cfg["counts"].items():
+            if type(n) is not int or n < 0:  # bool is an int subclass, and is no count
+                raise ValidationFailure(f"config section 'counts': {split} {n!r} is not an integer >= 0")
         try:
-            counts = {Split(k): int(v) for k, v in cfg["counts"].items()}
-        except (TypeError, ValueError) as exc:
+            counts = {Split(k): v for k, v in cfg["counts"].items()}
+        except ValueError as exc:
             raise ValidationFailure(f"config section 'counts': {exc}") from exc
         settings = replace(settings, counts=counts)
     if "answer_cap" in cfg:
         cap = cfg["answer_cap"]
+        if cap is not None and type(cap) is not int:
+            raise ValidationFailure(f"config section 'answer_cap': {cap!r} is neither null nor an integer")
         try:
-            policy = AnswerLenPolicy(None if cap is None else int(cap))
-        except (TypeError, ValueError) as exc:
+            policy = AnswerLenPolicy(cap)
+        except ValueError as exc:
             raise ValidationFailure(f"config section 'answer_cap': {exc}") from exc
         settings = replace(settings, answer_policy=policy)
 

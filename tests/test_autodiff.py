@@ -314,6 +314,16 @@ class TestGradCheckPrimitives:
             np.ones((3, 5), int), np.ones((3, 5)))
         self.check(f, [q, k, v])
 
+    def test_attention_with_offsets_extents_and_firsts(self):
+        # Two queries over five keys per row: one block's tile covers query
+        # rows [0, 2) against keys [0, 3 + 2), and the loss reads every position.
+        rng = np.random.default_rng(24)
+        q, k, v = rand64(rng, 3, 2, 4), rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 6)
+        f = lambda: ad.cross_entropy(
+            ad.attention(q, k, v, np.array([3, 0, 1]), np.array([1, 2, 2]), np.array([0, 1, 0])),
+            np.ones((3, 2), int), np.ones((3, 2)))
+        self.check(f, [q, k, v])
+
     def test_rmsnorm(self):
         rng = np.random.default_rng(18)
         a, g, w = rand64(rng, 2, 3, 6), t64(np.ones(6)), rand64(rng, 6, 4)
@@ -477,10 +487,35 @@ def test_attention_firsts_leave_every_read_position_unchanged(monkeypatch):
     np.testing.assert_allclose(alone[0][read], whole[0][read], rtol=1e-6, atol=1e-7)
 
 
-def test_attention_rejects_firsts_without_extents():
-    q = ad.Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ad.ShapeError, match="firsts need extents"):
-        ad.attention(q, q, q, firsts=np.array([0, 1]))
+def test_attention_with_a_whole_window_matches_float64_reference(monkeypatch):
+    # Offsets, extents and firsts together, across blocks of 3, 3 and 1 rows
+    # whose windows differ: every read query matches the reference.
+    rng = np.random.default_rng(37)
+    n, sq, sk = 7, 6, 10
+    q, k, v = (rng.standard_normal(shape).astype(np.float32)
+               for shape in ((n, sq, 8), (n, sk, 8), (n, sk, 5)))
+    offsets = np.array([4, 0, 2, 1, 3, 0, 4])
+    extents = np.array([6, 3, 5, 2, 6, 1, 4])
+    firsts = np.array([2, 0, 4, 1, 5, 0, 3])
+    slot = np.arange(sq)[None, :]
+    read = (slot >= firsts[:, None]) & (slot < extents[:, None])
+    expect = reference_attention(q, k, v, offsets)
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * sq * sk * 4)
+    out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), offsets, extents, firsts).data
+    np.testing.assert_allclose(out[read], expect[read], rtol=1e-5, atol=1e-6)
+
+
+def test_attention_firsts_without_extents_read_every_query_from_the_first(monkeypatch):
+    rng = np.random.default_rng(38)
+    n, s = 5, 7
+    q, k, v = (rng.standard_normal((n, s, 8)).astype(np.float32) for _ in range(3))
+    firsts = np.array([3, 6, 0, 2, 5])
+    read = np.arange(s)[None, :] >= firsts[:, None]
+    expect = reference_attention(q, k, v)
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", s * s * 4)  # one row per block
+    out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), firsts=firsts).data
+    np.testing.assert_allclose(out[read], expect[read], rtol=1e-5, atol=1e-6)
+    assert not out[~read].any()
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 2], [0, 3], [0], [[0, 1]]])
@@ -490,16 +525,15 @@ def test_attention_rejects_a_first_outside_its_rows_extent(bad):
         ad.attention(q, q, q, extents=np.array([3, 2]), firsts=np.array(bad))
 
 
-def test_attention_rejects_a_bad_extent_unequal_lengths_or_offsets():
+def test_attention_rejects_a_bad_extent():
     q = ad.Tensor(np.zeros((2, 3, 4)))
     for bad in ([0, 3], [1, 4], [3], [[1, 2]]):
-        with pytest.raises(ad.ShapeError, match="extents"):
+        with pytest.raises(ad.ShapeError, match=r"extents must be 2 values in \[1, 3\]"):
             ad.attention(q, q, q, extents=np.array(bad))
+    # Over five keys, extents still count queries.
     longer = ad.Tensor(np.zeros((2, 5, 4)))
-    with pytest.raises(ad.ShapeError, match="extents"):
-        ad.attention(q, longer, longer, extents=np.array([3, 3]))
-    with pytest.raises(ad.ShapeError, match="extents need square scores and no offsets"):
-        ad.attention(q, q, q, np.array([0, 0]), np.array([3, 3]))
+    with pytest.raises(ad.ShapeError, match=r"extents must be 2 values in \[1, 3\]"):
+        ad.attention(q, longer, longer, np.array([0, 2]), np.array([3, 4]))
 
 
 def test_attention_rejects_fewer_keys():

@@ -365,10 +365,17 @@ class TestEndToEnd:
     @pytest.mark.parametrize("config", [{"counts": [1, 2]}, {"counts": {"train": None}},
                                         {"answer_cap": [3]}, {"model": {"n_heads": 0}},
                                         {"model": {"n_heads": -4}}, {"model": {"d_model": 0}},
-                                        {"model": {"rope_base": 0}}, {"model": {"rope_base": -1.0}}],
+                                        {"model": {"rope_base": 0}}, {"model": {"rope_base": -1.0}},
+                                        {"counts": {"train": 40, "test_id": -3}},
+                                        {"counts": {"train": 40, "test_hollow": 2.7}},
+                                        {"counts": {"train": True}}, {"counts": {"train": "40"}},
+                                        {"answer_cap": 40.5}, {"answer_cap": True},
+                                        {"answer_cap": "3"}],
                              ids=["counts_list", "null_count", "answer_cap_list", "zero_heads",
                                   "negative_heads", "zero_width", "zero_rope_base",
-                                  "negative_rope_base"])
+                                  "negative_rope_base", "negative_count", "fractional_count",
+                                  "bool_count", "string_count", "fractional_answer_cap",
+                                  "bool_answer_cap", "string_answer_cap"])
     def test_malformed_config_value_fails_validation(self, tmp_path, capsys, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

@@ -213,12 +213,12 @@ class TestFusedEvaluate:
         prefill_firsts = []
         run = Transformer._run
 
-        def counting(self, tokens, extents=None, firsts=None, cache=None, offsets=None):
-            if offsets is None:  # a prefill: decoding steps pass each row's slot
+        def counting(self, tokens, extents, firsts, offsets, cache=None):
+            if not cache:  # a prefill: decoding steps pass the filled cache
                 full_forwards.append(tokens.shape)
                 prefill_extents.append(extents.tolist())
                 prefill_firsts.append(firsts.tolist())
-            return run(self, tokens, extents, firsts, cache, offsets)
+            return run(self, tokens, extents, firsts, offsets, cache)
 
         monkeypatch.setattr(Transformer, "_run", counting)
         result = evaluate(model, data)

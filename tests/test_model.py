@@ -412,6 +412,30 @@ class TestGenerate:
             after_prompts[row, first + 1:] = rng.integers(0, 17, size=53 - first)
         assert np.array_equal(model.decode(after_prompts, extents, firsts)[1], answers)
 
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_a_decode_step_over_the_whole_cache_matches_one_over_the_written_slots(
+            self, kind, monkeypatch):
+        # A step passes attention the whole prefill cache, and each block's
+        # keys end at its own rows' slots.  Cutting the cache to the slots
+        # written so far, in one block, gives the same logits up to float
+        # rounding (BLAS sums a longer run of zero-weighted keys in another
+        # order) and the same answers.
+        model = Transformer(replace(TINY, pe_kind=kind))
+        rng = np.random.default_rng(15)
+        tokens = rng.integers(0, 17, size=(5, 40))
+        extents, firsts = np.array([40, 31, 36, 12, 25]), np.array([20, 9, 30, 5, 18])
+        cache = []
+        model._run(*model._window(tokens, extents, firsts), cache)
+        slot, step = firsts + 3, rng.integers(0, 17, size=(5, 1))
+        ones = np.ones(5, dtype=np.int64)
+        width = slot.max() + 1
+        cut = model._run(step, ones, ones - 1, slot,
+                         [(k[:, :width].copy(), v[:, :width].copy()) for k, v in cache]).data
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 3 * 40 * 4)  # 3 of the 10 head rows
+        whole = model._run(step, ones, ones - 1, slot, [(k.copy(), v.copy()) for k, v in cache]).data
+        np.testing.assert_allclose(whole, cut, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(whole.argmax(axis=-1), cut.argmax(axis=-1))
+
     def test_decode_rejects_a_row_that_does_not_fit(self):
         model = Transformer(TINY)
         # Row 1: a 40-token prompt and a 25-token answer need 65 slots.
