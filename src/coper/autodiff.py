@@ -13,12 +13,13 @@ The tape holds what backward reads and nothing longer than it is needed:
 each op's backward closure, and of its inputs only the leaves whose .grad
 backward writes.  An op's output carries its (tape serial, node index)
 instead of being held, so an array no backward rule reads (the q, k and v
-projections, rope's outputs, the wo and w2 outputs, the residual stream)
-is freed as soon as the forward drops it, and backward drops each node
-once it has run it, freeing what its closure captured.  A tape runs
-backward once.  Desk `coper-default` `run-experiment --epochs 1` peaks at
+projections, rope's outputs, the wo and feed-forward outputs, the residual
+stream) is freed as soon as the forward drops it, and backward drops each
+node once it has run it, freeing what its closure captured.  A tape runs
+backward once.  Desk `coper-default` `run-experiment --epochs 1` peaked at
 190-194 MB this way, against 323 MB when the tape held every op's inputs,
-output and closure until the step ended.
+output and closure until the step ended, and at 142 MB once the
+feed-forward kept no hidden array (below).
 
 The model runs its per-token ops on a packed (1, T, D) tensor of the T real
 tokens of a right-padded batch.  `split_heads` and `merge_heads` are the
@@ -44,8 +45,13 @@ first, the first query whose output is read.  A block's tile covers only
 the query rows [min first, max extent) and the keys [0, max offset + max
 extent) of its rows: the read positions are unchanged, and the query rows
 outside that window get zero output and zero gradient.
-GELU likewise keeps only tanh of its inner polynomial and recomputes x*x in
-backward.  No primitive writes into its inputs' arrays.
+The feed-forward GELU(x @ w1) @ w2 is one fused primitive too.  Its
+(T, F) hidden array, F = ffn_mult * d_model, is the largest a layer makes,
+and matmul, GELU and matmul as three taped ops kept three of them, x @ w1,
+the tanh and the GELU, from forward to backward.  `feed_forward` keeps
+only x: its forward overwrites the one hidden array with its GELU, block of
+rows by block of rows, and drops it, and its backward recomputes x @ w1,
+two such arrays at most.  No primitive writes into its inputs' arrays.
 """
 
 from __future__ import annotations
@@ -230,40 +236,89 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 _GELU_A = 0.044715
+# Bytes of one block of rows of each scratch array in `_gelu_rows`.  About
+# 256 KiB keeps the scratch blocks (two in the forward, three in the
+# backward) in cache and small beside the (T, F) hidden array, while a block
+# still holds 256 rows at F = 256 in float32.
+_FEED_FORWARD_BLOCK_BYTES = 1 << 18
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU; the backward differentiates the approximation.
+def _gelu_rows(h: np.ndarray, act: np.ndarray | None = None) -> None:
+    """Overwrite the (T, F) array h with tanh-GELU(h), one block of rows at a
+    time; given `act`, write GELU(h) into it and overwrite h with GELU'(h).
 
     Powers are spelled as products: numpy's float32 pow ufunc takes a scalar
     libm path that is orders of magnitude slower than multiplication.  The
-    forward builds tanh(C * x * (1 + A * x^2)) in one temporary, using the
-    output array as scratch, and keeps only that tanh for backward.
+    derivative is that of the approximation, ((1 - t^2) * (3CA h^2 + C)) * h
+    + (t + 1), where t = tanh(C h (1 + A h^2)) and GELU(h) = (t + 1) * h / 2.
     """
-    xd = x.data
-    t = xd * xd
-    t *= _GELU_A
-    t += 1.0
-    data = np.multiply(xd, _GELU_C)
-    t *= data
-    np.tanh(t, out=t)
-    np.add(t, 1.0, out=data)
-    data *= xd
-    data *= 0.5
+    step = max(1, _FEED_FORWARD_BLOCK_BYTES // (h.shape[1] * h.itemsize))
+    shape = (min(step, len(h)), h.shape[1])
+    t, u = np.empty(shape, dtype=h.dtype), np.empty(shape, dtype=h.dtype)
+    w = None if act is None else np.empty(shape, dtype=h.dtype)
+    for lo in range(0, len(h), step):
+        hb = h[lo:lo + step]
+        tb, ub = t[:len(hb)], u[:len(hb)]
+        np.multiply(hb, hb, out=tb)
+        tb *= _GELU_A
+        tb += 1.0
+        tb *= np.multiply(hb, _GELU_C, out=ub)
+        np.tanh(tb, out=tb)
+        if act is None:
+            tb += 1.0
+            hb *= tb
+            hb *= 0.5
+            continue
+        np.multiply(tb, tb, out=ub)
+        np.subtract(1.0, ub, out=ub)
+        tb += 1.0
+        ab = np.multiply(tb, hb, out=act[lo:lo + step])
+        ab *= 0.5
+        wb = np.multiply(hb, hb, out=w[:len(hb)])
+        wb *= 3.0 * _GELU_C * _GELU_A
+        wb += _GELU_C
+        ub *= wb
+        ub *= hb
+        np.add(ub, tb, out=hb)
+
+
+def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """GELU(x @ w1) @ w2 for x (B, S, D), w1 (D, F) and w2 (F, D'), as one op.
+
+    Its one (B * S, F) hidden array holds x @ w1, then GELU of it in place,
+    and is dropped once the output is taken; the tape keeps only x.  The
+    backward recomputes x @ w1, fills a second hidden array with its GELU
+    for w2's gradient, turns the first into the GELU derivative in place and
+    reuses the second for the output gradient's product with w2^T.  Each
+    GEMM has the shape and each elementwise step the order of the three ops
+    matmul, GELU, matmul, so the output and gradients are theirs to the bit.
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if (xd.ndim != 3 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0]
+            or w1d.shape[1] != w2d.shape[0]):
+        raise ShapeError(f"feed_forward takes (B, S, D), (D, F), (F, D'), got {xd.shape}, {w1d.shape} "
+                         f"and {w2d.shape}")
+    x_shape = xd.shape
+    xd = xd.reshape(-1, x_shape[-1])
+    hidden = xd @ w1d
+    _gelu_rows(hidden)
+    data = (hidden @ w2d).reshape(*x_shape[:-1], w2d.shape[1])
 
     def backward(g):
-        dx = t * t
-        np.subtract(1.0, dx, out=dx)
-        tmp = xd * xd
-        tmp *= 3.0 * _GELU_C * _GELU_A
-        tmp += _GELU_C
-        dx *= tmp
-        dx *= xd
-        dx += np.add(t, 1.0, out=tmp)
-        dx *= np.multiply(g, 0.5, out=tmp)
-        return (dx,)
+        g = g.reshape(-1, g.shape[-1])
+        h = xd @ w1d
+        a = np.empty_like(h)
+        _gelu_rows(h, a)
+        gw2 = a.T @ g if w2.requires_grad else None
+        np.matmul(g, w2d.T, out=a)
+        a *= 0.5
+        h *= a
+        del a  # freed before dx is allocated, which would otherwise set the op's peak
+        gx = (h @ w1d.T).reshape(x_shape) if x.requires_grad else None
+        gw1 = xd.T @ h if w1.requires_grad else None
+        return gx, gw1, gw2
 
-    return _wrap(data, (x,), backward)
+    return _wrap(data, (x, w1, w2), backward)
 
 
 # Bytes of one block's (rows, S, S) score tile in `attention`.  About 1 MiB

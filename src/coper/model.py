@@ -216,7 +216,7 @@ class Transformer:
         A token's slot is also its position in the rotary or sinusoid table.
         The T real tokens are packed, row by row, into one (1, T, D) tensor
         on which the embedding, the position table, every norm, projection,
-        GELU, rope and the head run.  `split_heads` scatters the queries,
+        feed-forward, rope and the head run.  `split_heads` scatters the queries,
         keys and values into zero-padded (B * H, S, d_head) tiles for
         attention and the cache, `merge_heads` gathers attention's output
         back, and a one-head split returns (B, S, vocab) logits, zero at
@@ -281,8 +281,7 @@ class Transformer:
             o = ad.merge_heads(ad.attention(q, k, v, head_offsets, head_extents, q_firsts), q_slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
             fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
-            f = ad.matmul(ad.gelu(ad.matmul(fn, p[pre + "w1"])), p[pre + "w2"])
-            x = ad.add(x, f)
+            x = ad.add(x, ad.feed_forward(fn, p[pre + "w1"], p[pre + "w2"]))
         x = ad.rmsnorm(x, self.params["final_norm"])
         # A one-head split puts each read token's logits back at its (row, slot).
         out_slots = flat[:, None] if read is None else flat[read, None]

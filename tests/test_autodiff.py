@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -88,6 +89,7 @@ class TestTapeLifetime:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.x, self.w = rand64(rng, 1, 4, 6, grad=False), rand64(rng, 6, 6)
+        self.w1, self.w2 = rand64(rng, 6, 5), rand64(rng, 5, 6)
         angles = rng.standard_normal((4, 3))
         self.cos, self.sin = np.cos(angles), np.sin(angles)
         self.targets, self.mask = np.array([[0, 1, 2, 3]]), np.ones((1, 4), bool)
@@ -107,9 +109,9 @@ class TestTapeLifetime:
         with ad.Tape() as tape:
             h = ad.matmul(self.x, self.w)
             probe = weakref.ref(h.data)
-            loss = ad.cross_entropy(ad.gelu(h), self.targets, self.mask)
+            loss = ad.cross_entropy(ad.feed_forward(h, self.w1, self.w2), self.targets, self.mask)
             del h
-        assert probe() is not None  # gelu's backward reads its input
+        assert probe() is not None  # feed_forward's backward reads its input
         tape.backward(loss)
         assert probe() is None  # though the caller still holds tape and loss
 
@@ -191,6 +193,14 @@ class TestForwardSemantics:
                 ad.matmul(ad.Tensor(np.zeros(a)), ad.Tensor(np.zeros(b)))
             assert str(a) in str(err.value) and str(b) in str(err.value)
 
+    def test_feed_forward_shape_error_names_shapes(self):
+        # Only (B, S, D), (D, F), (F, D') are accepted.
+        for x, w1, w2 in (((4, 5), (5, 3), (3, 5)), ((2, 4, 5), (4, 3), (3, 5)),
+                          ((2, 4, 5), (5, 3), (4, 5)), ((2, 4, 5), (1, 5, 3), (3, 5))):
+            with pytest.raises(ad.ShapeError) as err:
+                ad.feed_forward(*(ad.Tensor(np.zeros(shape)) for shape in (x, w1, w2)))
+            assert all(str(shape) in str(err.value) for shape in (x, w1, w2))
+
     def test_add_rejects_a_broadcast_operand_with_a_gradient(self):
         a = ad.Tensor(np.zeros((2, 3, 5)), requires_grad=True)
         bias = ad.Tensor(np.zeros(5), requires_grad=True)
@@ -267,11 +277,11 @@ class TestGradCheckPrimitives:
                                      np.ones((3, 4), int), np.ones((3, 4)))
         self.check(f, [a, b])
 
-    def test_gelu(self):
+    def test_feed_forward(self):
         rng = np.random.default_rng(15)
-        a, w = rand64(rng, 2, 4, 5), rand64(rng, 5, 6)
-        f = lambda: ad.cross_entropy(ad.matmul(ad.gelu(a), w), np.ones((2, 4), int), np.ones((2, 4)))
-        self.check(f, [a, w])
+        x, w1, w2 = rand64(rng, 2, 4, 5), rand64(rng, 5, 7), rand64(rng, 7, 6)
+        f = lambda: ad.cross_entropy(ad.feed_forward(x, w1, w2), np.ones((2, 4), int), np.ones((2, 4)))
+        self.check(f, [x, w1, w2])
 
     def test_softmax(self):
         # An odd head dim: the derived scale 1 / sqrt(3) is not a power of two.
@@ -376,13 +386,86 @@ class TestGradCheckValidation:
 def test_forward_determinism():
     rng = np.random.default_rng(30)
     x = ad.Tensor(rng.standard_normal((4, 8, 16)).astype(np.float32))
-    w = ad.Tensor(rng.standard_normal((16, 16)).astype(np.float32))
+    w1 = ad.Tensor(rng.standard_normal((16, 64)).astype(np.float32))
+    w2 = ad.Tensor(rng.standard_normal((64, 16)).astype(np.float32))
 
     def f():
-        h = ad.matmul(ad.gelu(x), w)
+        h = ad.feed_forward(x, w1, w2)
         return ad.attention(h, h, h).data
 
     assert np.array_equal(f(), f())
+
+
+def reference_feed_forward(x, w1, w2, g):
+    """(y, dx, dw1, dw2) of matmul -> tanh-GELU -> matmul for the output
+    gradient g, each step in the order of three separate ops."""
+    c, a = 0.7978845608028654, 0.044715  # sqrt(2 / pi) and the cubic's weight
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    h = x2 @ w1
+    t = np.tanh((h * h * a + 1.0) * (h * c))
+    act = (t + 1.0) * h * 0.5
+    dh = ((1.0 - t * t) * (h * h * (3.0 * c * a) + c) * h + (t + 1.0)) * ((g2 @ w2.T) * 0.5)
+    return (act @ w2).reshape(g.shape), (dh @ w1.T).reshape(x.shape), x2.T @ dh, act.T @ g2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, s, d, f", [(3, 200, 16, 257), (1, 1, 3, 7)])
+def test_feed_forward_is_bitwise_the_three_op_chain(dtype, b, s, d, f):
+    # F is odd, and the 600 rows span several blocks of the hidden array,
+    # the last one ragged, in either dtype.
+    rng = np.random.default_rng(33)
+    x, w1, w2 = (ad.Tensor((rng.standard_normal(shape) / scale).astype(dtype), requires_grad=True)
+                 for shape, scale in (((b, s, d), 1.0), ((d, f), np.sqrt(d)), ((f, d), np.sqrt(f))))
+    targets, mask = rng.integers(0, d, (b, s)), np.ones((b, s))
+    with ad.Tape() as tape:
+        y = ad.feed_forward(x, w1, w2)
+        loss = ad.cross_entropy(y, targets, mask)
+    tape.backward(loss)
+    out = ad.Tensor(y.data, requires_grad=True)  # the output gradient that reached feed_forward
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy(out, targets, mask)
+    tape.backward(loss)
+    expected = reference_feed_forward(x.data, w1.data, w2.data, out.grad)
+    for got, want in zip((y.data, x.grad, w1.grad, w2.grad), expected):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def _ffn_operands(grad):
+    """float32 x, w1 and w2 with T = 4096 tokens and F = 256 hidden units."""
+    rng = np.random.default_rng(34)
+    return [ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
+            for shape in ((1, 4096, 64), (64, 256), (256, 64))]
+
+
+def test_a_tape_free_feed_forward_peaks_at_one_hidden_array():
+    x, w1, w2 = _ffn_operands(grad=False)
+    t, f = x.shape[1], w1.shape[1]
+    tracemalloc.start()
+    try:
+        ad.feed_forward(x, w1, w2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The hidden array with the output, or with GELU's two scratch blocks;
+    # matmul -> GELU -> matmul held three (T, F) arrays at once.
+    assert peak < 2 * t * f * 4
+
+
+def test_a_taped_feed_forward_keeps_no_hidden_array():
+    x, w1, w2 = _ffn_operands(grad=True)
+    t, f = x.shape[1], w1.shape[1]
+    with ad.Tape() as tape:
+        tracemalloc.start()
+        try:
+            y = ad.feed_forward(x, w1, w2)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        loss = ad.cross_entropy(y, np.zeros((1, t), int), np.ones((1, t)))
+    # Only the (T, D) output is new; the closure holds x and the weights.
+    assert y.data.nbytes <= held < t * f * 4 / 2
+    tape.backward(loss)
+    assert all(np.abs(w.grad).sum() > 0 for w in (x, w1, w2))
 
 
 def _attention_run(q, k, v, extents=None, loss_mask=None, firsts=None):
@@ -550,15 +633,18 @@ def test_attention_rejects_bad_offsets(bad):
         ad.attention(q, longer, longer, np.array(bad))
 
 
-def test_gelu_and_attention_leave_inputs_unmodified():
+def test_feed_forward_and_attention_leave_inputs_unmodified():
     rng = np.random.default_rng(32)
     x, q, k, v = (ad.Tensor(rng.standard_normal((3, 6, 4)).astype(np.float32), requires_grad=True)
                   for _ in range(4))
+    w1, w2 = (ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+              for shape in ((4, 9), (9, 4)))
     extents, firsts = np.array([6, 4, 5]), np.array([0, 2, 1])
-    before = [a.copy() for a in (x.data, q.data, k.data, v.data, extents, firsts)]
+    inputs = (x.data, w1.data, w2.data, q.data, k.data, v.data, extents, firsts)
+    before = [a.copy() for a in inputs]
     with ad.Tape() as tape:
-        h = ad.add(ad.gelu(x), ad.attention(q, k, v, extents=extents, firsts=firsts))
+        h = ad.add(ad.feed_forward(x, w1, w2), ad.attention(q, k, v, extents=extents, firsts=firsts))
         loss = ad.cross_entropy(h, np.zeros((3, 6), int), np.ones((3, 6)))
     tape.backward(loss)
-    for a, b in zip(before, [x.data, q.data, k.data, v.data, extents, firsts]):
+    for a, b in zip(before, inputs):
         assert np.array_equal(a, b)

@@ -175,15 +175,18 @@ class TestForward:
         model = Transformer(TINY)
         extents = np.array([9, 2, 14, 5])
         rows = []
-        matmul = ad.matmul
 
-        def counting(a, b):
-            rows.append(a.shape[:2])
-            return matmul(a, b)
+        def counting(op):
+            def run(a, *weights):
+                rows.append(a.shape[:2])
+                return op(a, *weights)
+            return run
 
-        monkeypatch.setattr(ad, "matmul", counting)
+        monkeypatch.setattr(ad, "matmul", counting(ad.matmul))
+        monkeypatch.setattr(ad, "feed_forward", counting(ad.feed_forward))
         model.forward(np.zeros((4, 14), dtype=np.int64), extents)
-        assert rows == [(1, int(extents.sum()))] * (6 * TINY.n_layers + 1)
+        # Per layer the q, k, v and output projections and the feed-forward; then the head.
+        assert rows == [(1, int(extents.sum()))] * (5 * TINY.n_layers + 1)
 
     def test_extents_are_validated(self):
         model = Transformer(TINY)
@@ -224,13 +227,15 @@ class TestForward:
         extents, firsts = np.array([9, 2, 14, 5]), np.array([3, 1, 0, 4])
         names = {id(t): name for name, t in model.parameters().items()}
         rows = {}
-        matmul = ad.matmul
 
-        def counting(a, b):
-            rows[names[id(b)]] = a.shape[:2]
-            return matmul(a, b)
+        def counting(op):
+            def run(a, *weights):
+                rows.update({names[id(w)]: a.shape[:2] for w in weights})
+                return op(a, *weights)
+            return run
 
-        monkeypatch.setattr(ad, "matmul", counting)
+        monkeypatch.setattr(ad, "matmul", counting(ad.matmul))
+        monkeypatch.setattr(ad, "feed_forward", counting(ad.feed_forward))
         model.forward(np.zeros((4, 14), dtype=np.int64), extents, firsts)
         real, read = (1, int(extents.sum())), (1, int((extents - firsts).sum()))
         last = f"layers.{TINY.n_layers - 1}."
