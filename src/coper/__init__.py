@@ -1,10 +1,8 @@
 """Composite-periodicity benchmark toolkit.
 
 Generates controlled periodic-sequence corpora with Hollow and
-Extrapolation OOD splits, trains a small decoder-only transformer with
-pluggable positional encodings on them (pure numpy, no framework), and
-ships numerical checks for the rotary-embedding invariances the splits
-are designed to probe.
+Extrapolation OOD splits, and trains a small decoder-only transformer with
+pluggable positional encodings on them (pure numpy, no framework).
 
 Importing the package sets up the whole process (`_set_up_process`):
 `COPER_THREADS` caps BLAS threads, and under glibc the allocator's trim

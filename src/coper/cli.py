@@ -1,6 +1,6 @@
-"""Command-line pipeline: gen, verify, train, eval, analyze, and the
-one-shot run-experiment, which runs the gen, train and eval stages of the
-single commands.
+"""Command-line pipeline: gen, verify, train, eval, and the one-shot
+run-experiment, which runs the gen, train and eval stages of the single
+commands.
 
 Exit codes: 0 success, 1 validation problem (bad flags or config fields,
 a flag naming a missing file, unknown profile, failed dataset
@@ -212,38 +212,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    from .composers import gen_scaled_single
-    from .dataset import TaskParams, sample_cycle
-    from .invariance import (PhaseConfig, check_relative_invariance,
-                             invariance_premise_test, rule_periodicity_counterexample)
-
-    import numpy as np
-
-    if args.target == "rope-counterexample":
-        witness = rule_periodicity_counterexample().to_dict()
-    elif args.target == "rope-invariance":
-        periods = {}
-        for period in range(1, args.max_period + 1):
-            periods[str(period)] = check_relative_invariance(PhaseConfig(period), args.trials, args.seed)
-        witness = {"max_deviation": max(periods.values()), "per_period": periods}
-    elif args.target == "scaled-premise":
-        rng = np.random.default_rng(args.seed)
-        params = TaskParams()
-        cases = []
-        for _ in range(args.trials):
-            period = int(rng.integers(1, 8))
-            cycle = sample_cycle(period, 1, params.value_hi, rng)
-            seq = gen_scaled_single(cycle, 3)
-            w = invariance_premise_test(seq, period)
-            cases.append({"period": period, "values": list(cycle.values), **asdict(w)})
-        witness = {"all_violate": all(not c["holds"] for c in cases), "cases": cases}
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValidationFailure(f"unknown analyze target {args.target!r}")
-    print(json.dumps(witness, sort_keys=True, indent=2))
-    return 0
-
-
 def _cmd_run_experiment(args) -> int:
     from .dataset import verify_dataset
     from .evaluation import emit_category_bar
@@ -301,13 +269,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _positive(text: str) -> int:
-    """argparse type of a count that must do some work: a positive integer."""
-    if not (text.isascii() and text.isdigit()) or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def _seed_list(text: str) -> list[int]:
     """argparse type of a comma-separated list of distinct seeds."""
     seeds = [_seed(s) for s in text.split(",")]
@@ -328,8 +289,8 @@ def _add_profile_flags(p: argparse.ArgumentParser, profile_flag: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coper",
-        description="Composite-periodicity benchmark: generate corpora, train and "
-                    "evaluate small transformers, and inspect positional-encoding algebra.")
+        description="Composite-periodicity benchmark: generate corpora, and train and "
+                    "evaluate small transformers on them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="build a dataset from a profile")
@@ -356,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="model", help="label used in category outputs")
     p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("analyze", help="print algebraic witnesses as JSON")
-    p.add_argument("target", choices=["rope-counterexample", "rope-invariance", "scaled-premise"])
-    p.add_argument("--trials", type=_positive, default=1000)
-    p.add_argument("--max-period", type=_positive, default=64)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("run-experiment", help="gen + verify + train + eval, one command")
     p.add_argument("profile", help="experiment profile name")

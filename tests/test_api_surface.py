@@ -35,8 +35,6 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     ("evaluation", "evaluate", "predictor"): "the seam the tests decode through without a model",
     ("autodiff", "grad_check", "epsilon"): "the checker is test-only, and so is its step",
-    ("invariance", "rule_periodicity_counterexample", "rule_period"):
-        "the test that the verdict flips when the periods agree",
     ("cli", "main", "argv"): "the console script passes none; a Python caller passes its own",
 }
 

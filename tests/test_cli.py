@@ -116,47 +116,12 @@ class TestGenVerify:
         assert "unknown profile" in err
 
 
-class TestAnalyze:
-    def test_counterexample_json(self, capsys):
-        code, stdout, _ = run(capsys, "analyze", "rope-counterexample")
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["rule_diff_near"] == -1
-        assert payload["rule_diff_far"] == 2
-        assert payload["verdict"] == "not representable"
-
-    def test_invariance_json(self, capsys):
-        code, stdout, _ = run(capsys, "analyze", "rope-invariance", "--trials", "20",
-                              "--max-period", "8")
-        payload = json.loads(stdout)
-        assert code == 0
-        assert payload["max_deviation"] < 1e-9
-        assert len(payload["per_period"]) == 8
-
-    def test_invariance_trials_follow_seed(self, capsys):
-        outputs = [run(capsys, "analyze", "rope-invariance", "--trials", "5", "--max-period", "4",
-                       "--seed", seed)[1] for seed in ("0", "0", "1")]
-        assert outputs[0] == outputs[1] != outputs[2]
-
-    def test_scaled_premise_json(self, capsys):
-        code, stdout, _ = run(capsys, "analyze", "scaled-premise", "--trials", "5")
-        payload = json.loads(stdout)
-        assert code == 0
-        assert payload["all_violate"] is True
-
-    @pytest.mark.parametrize("target, flag, value", [
-        ("scaled-premise", "--trials", "0"),
-        ("scaled-premise", "--trials", "-3"),
-        ("rope-invariance", "--trials", "0"),
-        ("rope-invariance", "--max-period", "0"),
-        ("rope-invariance", "--max-period", "-3"),
-    ])
-    def test_non_positive_counts_are_rejected_before_any_work(self, capsys, target, flag, value):
-        # At zero, scaled-premise would print a vacuous "all_violate" over no
-        # cases, and rope-invariance would fail on an empty max().
-        code, stdout, err = run(capsys, "analyze", target, flag, value)
+class TestRemovedAnalyze:
+    @pytest.mark.parametrize("target", ["rope-counterexample", "rope-invariance", "scaled-premise"])
+    def test_analyze_is_an_invalid_choice(self, capsys, target):
+        code, stdout, err = run(capsys, "analyze", target)
         assert code == 1 and stdout == ""
-        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+        assert "invalid choice: 'analyze'" in err
 
 
 class TestEndToEnd:
