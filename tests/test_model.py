@@ -720,3 +720,23 @@ class TestFullModelGradients:
 
         err = ad.grad_check(f, model.parameters().values(), epsilon=1e-3)
         assert err < 1e-3
+
+    def test_model_attention_relative_invariance(self):
+        # End-to-end: the model's own per-head tiled rotary tables, fed to
+        # ad.rope_rotate on packed queries and keys, keep every head's scores
+        # a function of relative offset only.
+        cfg = ModelConfig(d_model=32, n_heads=4, n_layers=1, max_seq_len=512, init_seed=0)
+        model = Transformer(cfg)
+        cos, sin = model._rope_cos, model._rope_sin
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((200, 1, cfg.d_model)).astype(np.float32)
+        k = rng.standard_normal((200, 1, cfg.d_model)).astype(np.float32)
+        m, n = rng.integers(0, 250, size=(2, 200, 1))
+        delta = rng.integers(0, 250, size=(200, 1))
+
+        def scores(qpos, kpos):
+            rq = ad.rope_rotate(ad.Tensor(q), cos[qpos], sin[qpos]).data
+            rk = ad.rope_rotate(ad.Tensor(k), cos[kpos], sin[kpos]).data
+            return (rq * rk).reshape(200, cfg.n_heads, cfg.d_head).sum(axis=-1)
+
+        assert np.abs(scores(m, n) - scores(m + delta, n + delta)).max() < 1e-5
