@@ -55,9 +55,3 @@ def _set_up_process() -> None:
 
 
 _set_up_process()
-
-from .composers import AnswerLenPolicy, ComposeRule  # noqa: E402, F401
-from .cycles import PeriodicCycle  # noqa: E402, F401
-from .dataset import SampleRecord, Split, SplitPolicy, build_dataset, verify_dataset  # noqa: E402, F401
-from .model import ModelConfig, PeKind, Transformer  # noqa: E402, F401
-from .training import TrainConfig, train  # noqa: E402, F401

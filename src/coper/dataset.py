@@ -121,8 +121,6 @@ def sample_cycle(period: int, lo: int, hi: int, rng: np.random.Generator) -> Per
         raise InvalidSpec(f"period must be >= 1, got {period}")
     if period > 1 and hi <= lo:
         raise InvalidSpec(f"no cycle of minimal period {period} draws its values from [{lo}, {hi}]")
-    if period == 1:
-        return PeriodicCycle((int(rng.integers(lo, hi + 1)),), base=hi + 1)
     while True:
         cycle = PeriodicCycle(tuple(rng.integers(lo, hi + 1, size=period).tolist()), base=hi + 1)
         if minimal_period(cycle) == period:
@@ -369,8 +367,8 @@ def build_dataset(
     master_seed: int,
     out_dir: Path,
     *,
-    answer_policy: AnswerLenPolicy = AnswerLenPolicy(120),
-    task_params: TaskParams = TaskParams(),
+    answer_policy: AnswerLenPolicy,
+    task_params: TaskParams,
 ) -> DatasetManifest:
     """Emit one JSONL file per requested split plus manifest.json.
 

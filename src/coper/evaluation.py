@@ -3,10 +3,11 @@
 Greedy-decodes every test sample, scores token-wise accuracy into a
 per-(P1, P2) grid, summarizes the three categories, and renders the
 results as CSV plus self-contained SVG (heatmap, category bars, loss
-curves).  With a model, each length-sorted test batch takes one forward
-over its teacher-forced tokens: that forward gives the answer-only loss
-and fills the key/value cache that greedy decoding continues from
-(`Transformer.decode`).  Output bytes are deterministic: fixed float
+curves).  Each length-sorted test batch takes one forward over its
+teacher-forced tokens: that forward gives the answer-only loss and fills
+the key/value cache that greedy decoding continues from
+(`Transformer.decode`), and each decoded answer is scored against the
+labels the loss reads.  Output bytes are deterministic: fixed float
 formatting, no timestamps, no external assets.
 """
 
@@ -19,22 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import VOCAB_SIZE, encode
+from .codec import VOCAB_SIZE
 from .dataset import Split, load_records
 from .model import ConfigError, Transformer, write_atomic
 from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
                        ood_weighted, read_window)
-
-
-class InvalidTarget(ValueError):
-    """Accuracy against an empty target is undefined."""
-
-
-def token_hits(pred, target) -> int:
-    """Aligned positions where pred matches target; missing positions count wrong."""
-    if len(target) == 0:
-        raise InvalidTarget("target must be non-empty")
-    return sum(1 for p, t in zip(pred, target) if p == t)
 
 
 @dataclass
@@ -59,8 +49,7 @@ class PairAccuracyGrid:
 class CategoryReport:
     """Table-shaped summary: ID/OOD losses plus per-category decoded accuracy.
 
-    A value is None when the dataset lacks its splits (or, for a loss, when
-    no model was given).
+    A value is None when the dataset lacks its splits.
     """
 
     id_loss: float | None
@@ -124,15 +113,17 @@ def decode_records(records, predictor):
 
 
 def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, float, int]]:
-    """Greedy answers of `samples` in order, and their answer-only (loss,
-    accuracy, token count).
+    """Each of `samples`' greedy answer hits, in order, and their answer-only
+    (loss, accuracy, token count).
 
     One `Transformer.decode` per length-sorted batch: its forward over the
     teacher-forced tokens is scored exactly as `teacher_forced_metrics`
-    scores it, and decoding continues from that forward's cache.
+    scores it, and decoding continues from that forward's cache.  A row's
+    hits are the answer positions where the decoded id equals the label
+    that the answer-only loss reads there.
     """
     score = TokenScore()
-    answers = [None] * len(samples)
+    hits = [0] * len(samples)
     for batch in length_batches(samples):
         rows = [samples[j] for j in batch]
         inputs, labels, mask = batch_arrays(rows, LossRegion.ANSWER_ONLY)
@@ -140,27 +131,21 @@ def _decode_and_score(model: Transformer, samples) -> tuple[list, tuple[float, f
         logits, decoded = model.decode(inputs, extents, firsts)
         score.add(logits, labels, mask)
         for row, j in enumerate(batch):
-            answers[j] = decoded[row, :extents[row] - firsts[row]].tolist()
-    return answers, score.result()
+            n = extents[row] - firsts[row]
+            hits[j] = np.count_nonzero(decoded[row, :n] == labels[row, firsts[row]:extents[row]])
+    return hits, score.result()
 
 
-def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalResult:
+def evaluate(model: Transformer, data_dir: Path) -> EvalResult:
     """Decoded accuracy per (P1, P2) pair and per category, plus the
     answer-only teacher-forced losses that `training.split_metrics` reports.
 
-    With a model alone, each test batch is scored and decoded from one
-    forward (`_decode_and_score`).  A custom `predictor(prompts, n) -> ids`
-    replaces the model's greedy decoding (used by the harness self-tests);
-    it receives a list of 1-D prompt arrays and the batch's longest answer
-    length `n`, and returns at least `n` ids per row.  A predictor run
-    reports no losses, and `model` may be None.  Loading each split
-    rejects a dataset whose manifest has a foreign format or vocabulary.
+    Each test batch is scored and decoded from one forward
+    (`_decode_and_score`).  Loading each split rejects a dataset whose
+    manifest has a foreign format or vocabulary.
     """
-    if model is not None:
-        if model.config.vocab_size != VOCAB_SIZE:
-            raise ConfigError(f"model vocab {model.config.vocab_size} != codec vocab {VOCAB_SIZE}")
-    elif predictor is None:
-        raise ConfigError("evaluate needs a model or an explicit predictor")
+    if model.config.vocab_size != VOCAB_SIZE:
+        raise ConfigError(f"model vocab {model.config.vocab_size} != codec vocab {VOCAB_SIZE}")
 
     grids: dict = {}
     split_accuracy: dict = {}
@@ -169,14 +154,10 @@ def evaluate(model: Transformer | None, data_dir: Path, predictor=None) -> EvalR
         records = load_records(data_dir, split)
         if not records:
             continue
-        if predictor is None:
-            preds, scores[split] = _decode_and_score(model, encode_records(records))
-        else:
-            preds = [pred for _, pred in decode_records(records, predictor)]
+        hits, scores[split] = _decode_and_score(model, encode_records(records))
         grid = PairAccuracyGrid()
-        for rec, pred in zip(records, preds):
-            target = encode(rec.target_text)
-            grid.add((rec.p1, rec.p2), token_hits(pred, target), len(target))
+        for rec, n in zip(records, hits):
+            grid.add((rec.p1, rec.p2), n, len(rec.target_text))
         grids[split] = grid
         cells = grid.cells.values()
         split_accuracy[split.value] = sum(c for c, _ in cells) / sum(t for _, t in cells)

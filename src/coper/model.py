@@ -351,7 +351,7 @@ class Transformer:
         return {"embedding": self.embedding, **self.params}
 
 
-def save_checkpoint(model: Transformer, path, step: int = 0, master_seed: int = 0) -> None:
+def save_checkpoint(model: Transformer, path, step: int, master_seed: int) -> None:
     """Single file: uint32 length, JSON manifest, little-endian float32 blob,
     written atomically (see `write_atomic`)."""
     tensors = model.state_tensors()

@@ -3,8 +3,7 @@ and every default of a public module-level function is overridden by one.
 
 A name N defined in `src/coper/M.py` counts as used when `src/coper/` or
 `coperbench/` refers to it by one of:
-- `from coper.M import N` or `from .M import N` (or `from coper import N`
-  through a re-export of `coper/__init__.py`);
+- `from coper.M import N` or `from .M import N`;
 - `alias.N`, where `alias` is bound to module M by an import;
 - a bare `N` inside M, outside N's own definition.
 A name that a function binds itself, as a parameter or by assignment, is that
@@ -12,8 +11,7 @@ function's local inside it, not a reference to the module-level name.
 A defaulted parameter of a public function counts as set when a call that
 resolves to the function by the same rules passes it, by keyword or by
 position (a `*args` or `**kwargs` in the call passes every parameter it
-could reach).  The re-exports in `coper/__init__.py` are not uses
-themselves, and the tests, `coperbench/test_*.py` among them, are not
+could reach).  The tests, `coperbench/test_*.py` among them, are not
 scanned: a name or a default that only tests reach is surface nobody runs.
 
 By the same resolution, no coper module reaches a private (`_`-prefixed)
@@ -29,11 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     ("autodiff", "grad_check"): "the tests' reference gradient checker",
     ("autodiff", "scale"): "only the benchmark's self-test calls it",
+    ("evaluation", "decode_records"):
+        "the reference decoder the tests and the benchmark's self-test compare `evaluate` against",
     ("evaluation", "greedy_predictor"): "only the benchmark's self-test calls it",
 }
 # (module, function, parameter) -> why no caller outside the tests sets it.
 ALLOWED_DEFAULTS = {
-    ("evaluation", "evaluate", "predictor"): "the seam the tests decode through without a model",
     ("autodiff", "grad_check", "epsilon"): "the checker is test-only, and so is its step",
     ("cli", "main", "argv"): "the console script passes none; a Python caller passes its own",
 }
@@ -93,10 +92,7 @@ def _scan(root: Path):
     """
     src = root / "src" / "coper"
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    package = trees.pop("__init__")
-    reexports = {alias.asname or alias.name: (node.module, alias.name)
-                 for node in package.body if isinstance(node, ast.ImportFrom)
-                 for alias in node.names}
+    del trees["__init__"]
     defined = {m: _definitions(tree) for m, tree in trees.items()}
     used, calls, reached = set(), [], set()
 
@@ -119,8 +115,6 @@ def _scan(root: Path):
                     local = alias.asname or alias.name
                     if source == "coper" and alias.name in trees:
                         aliases[local] = alias.name
-                    elif source == "coper" and alias.name in reexports:
-                        names[local] = reexports[alias.name]
                     elif source != "coper":
                         names[local] = (source.split(".", 1)[1], alias.name)
         used.update(names.values())

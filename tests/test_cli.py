@@ -424,7 +424,7 @@ class TestEndToEnd:
 
         monkeypatch.setattr(evaluation, "evaluate", broken)
         ckpt = tmp_path / "m.ckpt"
-        save_checkpoint(Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1)), ckpt)
+        save_checkpoint(Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1)), ckpt, 0, 0)
         code, _, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
                            "--out", str(tmp_path / "e"))
         assert code == 2

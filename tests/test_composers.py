@@ -17,7 +17,7 @@ from coper.composers import (
     gen_single_continuation,
 )
 from coper.cycles import PeriodicCycle, minimal_period
-from coper.dataset import Split, SplitPolicy, build_dataset
+from coper.dataset import Split, SplitPolicy, TaskParams, build_dataset
 
 
 def random_cycle(rng, max_len=8, base=10):
@@ -215,7 +215,7 @@ class TestComposeSpec:
         policy = SplitPolicy(2, 4, 2, 6)
         with pytest.raises(InvalidSpec, match="shorter than the largest period 6"):
             build_dataset(ComposeRule.MOD_ADD, policy, {Split.TRAIN: 1}, 0, tmp_path,
-                          answer_policy=AnswerLenPolicy(5))
+                          answer_policy=AnswerLenPolicy(5), task_params=TaskParams())
 
     def test_policy_lengths(self):
         assert AnswerLenPolicy().answer_len(77) == 77

@@ -94,6 +94,17 @@ class TestSampleCycle:
             sample_cycle(2, 1, 1, rng)
         assert rng.bit_generator.state == before  # raised before any draw
 
+    def test_period_one_makes_one_scalar_draw(self):
+        # A period-1 cycle is the value and generator state of one scalar
+        # `integers` draw, so corpora whose policy includes period 1 keep
+        # their bytes.
+        for lo, hi in self.RANGES:
+            for seed in range(200):
+                rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                cycle = sample_cycle(1, lo, hi, rng)
+                assert cycle.values == (int(scalar.integers(lo, hi + 1)),)
+                assert rng.bit_generator.state == scalar.bit_generator.state
+
 
 class TestTaskParams:
     @pytest.mark.parametrize("fields, rule", [
@@ -124,7 +135,7 @@ class TestTaskParams:
 def build_tiny(tmp_path, rule=ComposeRule.MOD_ADD, counts=None, seed=7, **kw):
     counts = counts or {Split.TRAIN: 30, Split.TEST_ID: 10, Split.TEST_HOLLOW: 10, Split.TEST_EXTRAPOLATION: 10}
     return build_dataset(rule, SMALL_POLICY, counts, seed, tmp_path,
-                         answer_policy=AnswerLenPolicy(24), **kw)
+                         answer_policy=AnswerLenPolicy(24), task_params=TaskParams(), **kw)
 
 
 class TestBuildDataset:
@@ -171,7 +182,8 @@ class TestBuildDataset:
         policy = SplitPolicy(3, 6, 3, 6)  # no extrapolation pairs exist
         with pytest.raises(InfeasiblePolicy):
             build_dataset(ComposeRule.MOD_ADD, policy,
-                          {Split.TRAIN: 1, Split.TEST_EXTRAPOLATION: 1}, 0, tmp_path)
+                          {Split.TRAIN: 1, Split.TEST_EXTRAPOLATION: 1}, 0, tmp_path,
+                          answer_policy=AnswerLenPolicy(), task_params=TaskParams())
 
     def test_record_operands_have_declared_periods(self, tmp_path):
         build_tiny(tmp_path)
@@ -219,7 +231,7 @@ class TestSingleSequenceBuilds:
     def test_single_period_uses_diagonal(self, tmp_path):
         policy = SplitPolicy(4, 10, 2, 12, hollow=frozenset({(7, 7)}))
         build_dataset(ComposeRule.SINGLE_PERIOD, policy,
-                      {Split.TRAIN: 20, Split.TEST_HOLLOW: 5}, 3, tmp_path,
+                      {Split.TRAIN: 20, Split.TEST_HOLLOW: 5}, 3, tmp_path, answer_policy=AnswerLenPolicy(),
                       task_params=TaskParams(prompt_len_lo=25, prompt_len_hi=30, answer_len=8))
         for rec in load_records(tmp_path, Split.TRAIN):
             assert rec.p1 == rec.p2
@@ -231,13 +243,15 @@ class TestSingleSequenceBuilds:
     def test_scaled_build_verifies(self, tmp_path):
         policy = SplitPolicy(4, 10, 2, 12, hollow=frozenset({(7, 7)}))
         build_dataset(ComposeRule.SCALED_SINGLE, policy,
-                      {Split.TRAIN: 20, Split.TEST_HOLLOW: 5}, 3, tmp_path)
+                      {Split.TRAIN: 20, Split.TEST_HOLLOW: 5}, 3, tmp_path,
+                      answer_policy=AnswerLenPolicy(), task_params=TaskParams())
         report = verify_dataset(tmp_path)
         assert report.passed, report.failures
 
     def test_sine_build(self, tmp_path):
         build_dataset(ComposeRule.SINE, None,
-                      {Split.TRAIN: 20, Split.TEST_ID: 5, Split.TEST_EXTRAPOLATION: 5}, 3, tmp_path)
+                      {Split.TRAIN: 20, Split.TEST_ID: 5, Split.TEST_EXTRAPOLATION: 5}, 3, tmp_path,
+                      answer_policy=AnswerLenPolicy(), task_params=TaskParams())
         report = verify_dataset(tmp_path)
         assert report.passed, report.failures
         for rec in load_records(tmp_path, Split.TEST_EXTRAPOLATION):
@@ -246,7 +260,8 @@ class TestSingleSequenceBuilds:
 
     def test_sine_rejects_hollow(self, tmp_path):
         with pytest.raises(InfeasiblePolicy):
-            build_dataset(ComposeRule.SINE, None, {Split.TRAIN: 2, Split.TEST_HOLLOW: 1}, 0, tmp_path)
+            build_dataset(ComposeRule.SINE, None, {Split.TRAIN: 2, Split.TEST_HOLLOW: 1}, 0, tmp_path,
+                          answer_policy=AnswerLenPolicy(), task_params=TaskParams())
 
 
 class TestVerifyDataset:
@@ -327,7 +342,7 @@ class TestRelativePrompts:
     def test_prompt_tracks_period(self, tmp_path):
         policy = SplitPolicy(4, 10, 2, 12, hollow=frozenset({(7, 7)}))
         build_dataset(ComposeRule.SINGLE_PERIOD, policy,
-                      {Split.TRAIN: 40}, 5, tmp_path,
+                      {Split.TRAIN: 40}, 5, tmp_path, answer_policy=AnswerLenPolicy(),
                       task_params=TaskParams(prompt_tracks_period=True, answer_len=8))
         for rec in load_records(tmp_path, Split.TRAIN):
             n = len(rec.input_text)

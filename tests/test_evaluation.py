@@ -1,23 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from coper import evaluation, training
-from coper.codec import BOS_ID, encode
+from coper.codec import BOS_ID, VOCAB_SIZE, encode
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
-from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
+from coper.dataset import SampleRecord, Split, SplitPolicy, TaskParams, build_dataset, load_records
 from coper.evaluation import (
     CategoryReport,
     EvalResult,
-    InvalidTarget,
     PairAccuracyGrid,
     decode_records,
     emit_category_bar,
     emit_heatmap,
     emit_loss_curves,
     evaluate,
-    token_hits,
 )
 from coper.model import ConfigError, LengthError, ModelConfig, PeKind, Transformer
 from coper.training import EvalPoint, RunLog
@@ -31,27 +30,30 @@ def data(tmp_path_factory):
     build_dataset(
         ComposeRule.MOD_ADD, POLICY,
         {Split.TRAIN: 4, Split.TEST_ID: 12, Split.TEST_HOLLOW: 12, Split.TEST_EXTRAPOLATION: 12},
-        23, path, answer_policy=AnswerLenPolicy(12))
+        23, path, answer_policy=AnswerLenPolicy(12), task_params=TaskParams())
     return path
 
 
-class TestTokenAccuracy:
-    def test_exact_match(self):
-        assert token_hits((1, 2, 3), (1, 2, 3)) == 3
+def token_hits(pred, target) -> int:
+    """The reference hit count: aligned positions where pred matches target."""
+    return sum(p == t for p, t in zip(pred, target))
 
-    def test_half_wrong(self):
-        assert token_hits((1, 2, 9, 9), (1, 2, 3, 4)) == 2
 
-    def test_empty_prediction(self):
-        assert token_hits((), (1, 2, 3, 4)) == 0
+class AnswerModel:
+    """Stands in for a `Transformer` in `evaluate`: `decode` returns zero
+    logits and, for each row, `choose(prompt ids, answer length)`."""
 
-    def test_short_prediction_counts_missing_as_wrong(self):
-        assert token_hits((1, 2), (1, 2, 3, 4)) == 2
-        assert token_hits((1, 2, 3, 4, 5), (1, 2, 3, 4)) == 4
+    config = ModelConfig()
 
-    def test_empty_target_rejected(self):
-        with pytest.raises(InvalidTarget):
-            token_hits((1,), ())
+    def __init__(self, choose):
+        self.choose = choose
+
+    def decode(self, tokens, extents, firsts):
+        answers = np.zeros((len(tokens), (extents - firsts).max()), dtype=np.int64)
+        for row, (extent, first) in enumerate(zip(extents, firsts)):
+            answers[row, :extent - first] = self.choose(tuple(tokens[row, :first + 1].tolist()),
+                                                        extent - first)
+        return np.zeros((*tokens.shape, VOCAB_SIZE), dtype=np.float32), answers
 
 
 class TestGrid:
@@ -77,22 +79,20 @@ class TestEvaluate:
         targets = {}
         for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
             for rec in load_records(data, split):
-                prompt = (15,) + encode(rec.input_text)
-                targets[prompt] = encode(rec.target_text)
+                targets[(BOS_ID,) + encode(rec.input_text)] = encode(rec.target_text)
 
-        def echo(prompts, n):
-            out = np.zeros((len(prompts), n), dtype=np.int64)
-            for i, row in enumerate(prompts):
-                target = targets[tuple(int(v) for v in row)][:n]
-                out[i, :len(target)] = target
-            return out
+        def echo(prompt, n):
+            assert n == len(targets[prompt])
+            return targets[prompt]
 
-        result = evaluate(None, data, predictor=echo)
+        result = evaluate(AnswerModel(echo), data)
         assert result.report.id_accuracy == 1.0
         assert result.report.hollow_accuracy == 1.0
         assert result.report.extrapolation_accuracy == 1.0
         assert result.report.average == 1.0
-        assert result.report.id_loss is None and result.report.ood_loss is None  # no model
+        # zero logits: every answer token costs log(vocabulary size)
+        assert result.report.id_loss == pytest.approx(math.log(VOCAB_SIZE))
+        assert result.report.ood_loss == pytest.approx(math.log(VOCAB_SIZE))
         for grid in result.grids.values():
             for pair in grid.cells:
                 assert grid.accuracy(pair) == 1.0
@@ -124,11 +124,7 @@ class TestEvaluate:
 
     def test_uniform_random_digits_score_near_chance(self, data):
         rng = np.random.default_rng(0)
-
-        def random_digits(prompts, n):
-            return rng.integers(0, 10, size=(len(prompts), n))
-
-        result = evaluate(None, data, predictor=random_digits)
+        result = evaluate(AnswerModel(lambda prompt, n: rng.integers(0, 10, size=n)), data)
         merged = result.combined_grid()
         correct = sum(c for c, _ in merged.cells.values())
         total = sum(t for _, t in merged.cells.values())
@@ -170,11 +166,7 @@ class TestEvaluate:
 
     def test_category_matches_weighted_cells(self, data):
         rng = np.random.default_rng(1)
-
-        def random_digits(prompts, n):
-            return rng.integers(0, 10, size=(len(prompts), n))
-
-        result = evaluate(None, data, predictor=random_digits)
+        result = evaluate(AnswerModel(lambda prompt, n: rng.integers(0, 10, size=n)), data)
         for split, grid in result.grids.items():
             correct = sum(c for c, _ in grid.cells.values())
             total = sum(t for _, t in grid.cells.values())

@@ -528,7 +528,7 @@ def _eval(tmp_path, variant):
     if variant == 0:
         _gen(tmp_path, 0)
     ckpt = tmp_path / f"m{variant}.ckpt"
-    save_checkpoint(Transformer(replace(TINY, init_seed=variant)), ckpt)
+    save_checkpoint(Transformer(replace(TINY, init_seed=variant)), ckpt, 0, 0)
     main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(tmp_path / "eval")])
 
 
@@ -613,7 +613,7 @@ class TestCheckpoint:
         import struct
 
         path = tmp_path / "m.ckpt"
-        save_checkpoint(Transformer(TINY), path)
+        save_checkpoint(Transformer(TINY), path, 0, 0)
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[:4])
         manifest = json.loads(raw[4:4 + hlen])
@@ -667,18 +667,18 @@ class TestCheckpoint:
         import coper.model
 
         path = tmp_path / "m.ckpt"
-        save_checkpoint(Transformer(TINY), path, step=1)
+        save_checkpoint(Transformer(TINY), path, step=1, master_seed=0)
         before = path.read_bytes()
         monkeypatch.setattr(coper.model, "open", lambda *a: FailingFile(open(*a), 3), raising=False)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(Transformer(replace(TINY, init_seed=2)), path, step=2)
+            save_checkpoint(Transformer(replace(TINY, init_seed=2)), path, step=2, master_seed=0)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_truncated_rejected(self, tmp_path):
         model = Transformer(TINY)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, 0, 0)
         raw = path.read_bytes()
         (tmp_path / "cut.ckpt").write_bytes(raw[: len(raw) - 100])
         with pytest.raises(CheckpointError):

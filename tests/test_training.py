@@ -8,7 +8,7 @@ from coper import autodiff as ad
 from coper import training
 from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule
-from coper.dataset import SampleRecord, Split, SplitPolicy, build_dataset, load_records
+from coper.dataset import SampleRecord, Split, SplitPolicy, TaskParams, build_dataset, load_records
 from coper.model import ModelConfig, Transformer, load_checkpoint
 from coper.profiles import get_profile
 from coper.training import (
@@ -41,7 +41,7 @@ def tiny_data(tmp_path_factory):
     build_dataset(
         ComposeRule.MOD_ADD, POLICY,
         {Split.TRAIN: 24, Split.TEST_ID: 8, Split.TEST_HOLLOW: 8, Split.TEST_EXTRAPOLATION: 8},
-        11, path, answer_policy=AnswerLenPolicy(12))
+        11, path, answer_policy=AnswerLenPolicy(12), task_params=TaskParams())
     return path
 
 
@@ -102,7 +102,7 @@ class TestTraining:
 
     def test_overfits_eight_samples(self, tmp_path):
         build_dataset(ComposeRule.MOD_ADD, POLICY, {Split.TRAIN: 8}, 5, tmp_path,
-                      answer_policy=AnswerLenPolicy(12))
+                      answer_policy=AnswerLenPolicy(12), task_params=TaskParams())
         model = Transformer(TINY_MODEL)
         config = TrainConfig(batch_size=8, learning_rate=3e-3, weight_decay=0.0,
                              epochs=200, eval_every=200, seed=0)
