@@ -27,9 +27,10 @@ def _set_up_process() -> None:
     freed arrays go back to the kernel, and the next step faults them in
     and zeroes them again.  So the heap keeps up to 1 GiB free before it
     trims, and arrays under 32 MiB, glibc's ceiling on 64-bit, come from
-    the heap instead of an mmap of their own.  The largest per-step array
-    of the desk profiles, the FFN hidden of a 128-row teacher-forced
-    batch, is about 25 MB.
+    the heap instead of an mmap of their own.  The desk profiles' per-step
+    arrays stay well under that: `feed_forward` walks the FFN hidden in
+    blocks of about 256 KiB instead of making the whole array, about 25 MB
+    for a 128-row teacher-forced batch.
     """
     import ctypes
     import os

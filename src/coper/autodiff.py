@@ -18,8 +18,8 @@ stream) is freed as soon as the forward drops it, and backward drops each
 node once it has run it, freeing what its closure captured.  A tape runs
 backward once.  Desk `coper-default` `run-experiment --epochs 1` peaked at
 190-194 MB this way, against 323 MB when the tape held every op's inputs,
-output and closure until the step ended, and at 142 MB once the
-feed-forward kept no hidden array (below).
+output and closure until the step ended, at 142 MB once the feed-forward
+kept no hidden array, and at 133-135 MB once it made none (below).
 
 The model runs its per-token ops on a packed (1, T, D) tensor of the T real
 tokens of a right-padded batch.  `split_heads` and `merge_heads` are the
@@ -46,12 +46,17 @@ the query rows [min first, max extent) and the keys [0, max offset + max
 extent) of its rows: the read positions are unchanged, and the query rows
 outside that window get zero output and zero gradient.
 The feed-forward GELU(x @ w1) @ w2 is one fused primitive too.  Its
-(T, F) hidden array, F = ffn_mult * d_model, is the largest a layer makes,
-and matmul, GELU and matmul as three taped ops kept three of them, x @ w1,
-the tanh and the GELU, from forward to backward.  `feed_forward` keeps
-only x: its forward overwrites the one hidden array with its GELU, block of
-rows by block of rows, and drops it, and its backward recomputes x @ w1,
-two such arrays at most.  No primitive writes into its inputs' arrays.
+(T, F) hidden activations, F = ffn_mult * d_model, are the largest a layer
+computes, and matmul, GELU and matmul as three taped ops kept three (T, F)
+arrays, x @ w1, the tanh and the GELU, from forward to backward.
+`feed_forward` keeps only x and makes no (T, F) array at all: forward and
+backward walk the T rows in blocks of about _FEED_FORWARD_BLOCK_BYTES of
+hidden units, and the backward recomputes each block's x @ w1.  It holds
+three such blocks at most in the forward and five in the backward.  The
+weight gradients are summed block by block, which moves their last bits;
+the output and x's gradient move only where BLAS rounds a block's rows
+unlike the whole array's, which float32 at desk shapes never did.  No
+primitive writes into its inputs' arrays.
 """
 
 from __future__ import annotations
@@ -236,62 +241,59 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 _GELU_A = 0.044715
-# Bytes of one block of rows of each scratch array in `_gelu_rows`.  About
-# 256 KiB keeps the scratch blocks (two in the forward, three in the
-# backward) in cache and small beside the (T, F) hidden array, while a block
-# still holds 256 rows at F = 256 in float32.
+# Bytes of one block of rows of the hidden array in `feed_forward`.  About
+# 256 KiB keeps a block and GELU's scratch (five such blocks at most, in the
+# backward) in cache and small beside the (T, F) array that the op never
+# makes, while a block still holds 256 rows at F = 256 in float32.
 _FEED_FORWARD_BLOCK_BYTES = 1 << 18
 
 
 def _gelu_rows(h: np.ndarray, act: np.ndarray | None = None) -> None:
-    """Overwrite the (T, F) array h with tanh-GELU(h), one block of rows at a
-    time; given `act`, write GELU(h) into it and overwrite h with GELU'(h).
+    """Overwrite the block h with tanh-GELU(h); given `act`, write GELU(h)
+    into it and overwrite h with GELU'(h).
 
     Powers are spelled as products: numpy's float32 pow ufunc takes a scalar
     libm path that is orders of magnitude slower than multiplication.  The
     derivative is that of the approximation, ((1 - t^2) * (3CA h^2 + C)) * h
     + (t + 1), where t = tanh(C h (1 + A h^2)) and GELU(h) = (t + 1) * h / 2.
     """
-    step = max(1, _FEED_FORWARD_BLOCK_BYTES // (h.shape[1] * h.itemsize))
-    shape = (min(step, len(h)), h.shape[1])
-    t, u = np.empty(shape, dtype=h.dtype), np.empty(shape, dtype=h.dtype)
-    w = None if act is None else np.empty(shape, dtype=h.dtype)
-    for lo in range(0, len(h), step):
-        hb = h[lo:lo + step]
-        tb, ub = t[:len(hb)], u[:len(hb)]
-        np.multiply(hb, hb, out=tb)
-        tb *= _GELU_A
-        tb += 1.0
-        tb *= np.multiply(hb, _GELU_C, out=ub)
-        np.tanh(tb, out=tb)
-        if act is None:
-            tb += 1.0
-            hb *= tb
-            hb *= 0.5
-            continue
-        np.multiply(tb, tb, out=ub)
-        np.subtract(1.0, ub, out=ub)
-        tb += 1.0
-        ab = np.multiply(tb, hb, out=act[lo:lo + step])
-        ab *= 0.5
-        wb = np.multiply(hb, hb, out=w[:len(hb)])
-        wb *= 3.0 * _GELU_C * _GELU_A
-        wb += _GELU_C
-        ub *= wb
-        ub *= hb
-        np.add(ub, tb, out=hb)
+    t, u = np.multiply(h, h), np.multiply(h, _GELU_C)
+    t *= _GELU_A
+    t += 1.0
+    t *= u
+    np.tanh(t, out=t)
+    if act is None:
+        t += 1.0
+        h *= t
+        h *= 0.5
+        return
+    np.multiply(t, t, out=u)
+    np.subtract(1.0, u, out=u)
+    t += 1.0
+    np.multiply(t, h, out=act)
+    act *= 0.5
+    w = np.multiply(h, h)
+    w *= 3.0 * _GELU_C * _GELU_A
+    w += _GELU_C
+    u *= w
+    u *= h
+    np.add(u, t, out=h)
 
 
 def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """GELU(x @ w1) @ w2 for x (B, S, D), w1 (D, F) and w2 (F, D'), as one op.
 
-    Its one (B * S, F) hidden array holds x @ w1, then GELU of it in place,
-    and is dropped once the output is taken; the tape keeps only x.  The
-    backward recomputes x @ w1, fills a second hidden array with its GELU
-    for w2's gradient, turns the first into the GELU derivative in place and
-    reuses the second for the output gradient's product with w2^T.  Each
-    GEMM has the shape and each elementwise step the order of the three ops
-    matmul, GELU, matmul, so the output and gradients are theirs to the bit.
+    It walks the B * S rows in blocks of about _FEED_FORWARD_BLOCK_BYTES of
+    hidden units, so no (B * S, F) array is made; the tape keeps only x.
+    The forward puts each block's x @ w1 in one block buffer, takes its GELU
+    in place and multiplies by w2 straight into the block's output rows.
+    The backward recomputes each block's x @ w1, its GELU and GELU', writes
+    the block's rows of x's gradient and adds the block's products into
+    w1's and w2's.  Each elementwise step has the order of the three ops
+    matmul, GELU, matmul, so a block's rows of the output and of x's
+    gradient are what those ops give for the block alone.  The weight
+    gradients are sums over the blocks, which moves their last bits (about
+    5e-7 of the largest entry in float32).
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     if (xd.ndim != 3 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0]
@@ -300,25 +302,43 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
                          f"and {w2d.shape}")
     x_shape = xd.shape
     xd = xd.reshape(-1, x_shape[-1])
-    hidden = xd @ w1d
-    _gelu_rows(hidden)
-    data = (hidden @ w2d).reshape(*x_shape[:-1], w2d.shape[1])
+    n, (d, f) = len(xd), w1d.shape
+    dtype = np.result_type(xd, w1d)
+    step = max(1, _FEED_FORWARD_BLOCK_BYTES // (f * dtype.itemsize))
+    hidden = np.empty((min(step, n), f), dtype=dtype)
+    data = None
+    # At least one block, so that an empty x still gets its empty output.
+    for lo in range(0, max(n, 1), step):
+        xb = xd[lo:lo + step]
+        hb = np.matmul(xb, w1d, out=hidden[:len(xb)])
+        _gelu_rows(hb)
+        if data is None:  # made once GELU's scratch is freed, so a one-block call never holds both
+            data = np.empty((n, w2d.shape[1]), dtype=np.result_type(hb, w2d))
+        np.matmul(hb, w2d, out=data[lo:lo + step])
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
-        h = xd @ w1d
-        a = np.empty_like(h)
-        _gelu_rows(h, a)
-        gw2 = a.T @ g if w2.requires_grad else None
-        np.matmul(g, w2d.T, out=a)
-        a *= 0.5
-        h *= a
-        del a  # freed before dx is allocated, which would otherwise set the op's peak
-        gx = (h @ w1d.T).reshape(x_shape) if x.requires_grad else None
-        gw1 = xd.T @ h if w1.requires_grad else None
-        return gx, gw1, gw2
+        h, a = np.empty((2, min(step, n), f), dtype=dtype)
+        gx = np.empty((n, d), dtype=dtype) if x.requires_grad else None
+        gw1 = np.zeros((d, f), dtype=dtype) if w1.requires_grad else None
+        gw2 = np.zeros(w2d.shape, dtype=np.result_type(dtype, g)) if w2.requires_grad else None
+        for lo in range(0, n, step):
+            xb, gb = xd[lo:lo + step], g[lo:lo + step]
+            hb, ab = h[:len(xb)], a[:len(xb)]
+            np.matmul(xb, w1d, out=hb)
+            _gelu_rows(hb, ab)
+            if gw2 is not None:
+                gw2 += ab.T @ gb
+            np.matmul(gb, w2d.T, out=ab)
+            ab *= 0.5
+            hb *= ab
+            if gx is not None:
+                np.matmul(hb, w1d.T, out=gx[lo:lo + step])
+            if gw1 is not None:
+                gw1 += xb.T @ hb
+        return None if gx is None else gx.reshape(x_shape), gw1, gw2
 
-    return _wrap(data, (x, w1, w2), backward)
+    return _wrap(data.reshape(*x_shape[:-1], w2d.shape[1]), (x, w1, w2), backward)
 
 
 # Bytes of one block's (rows, S, S) score tile in `attention`.  About 1 MiB

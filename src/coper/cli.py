@@ -4,8 +4,10 @@ commands.
 
 Exit codes: 0 success, 1 validation problem (bad flags or config fields,
 a flag naming a missing file, unknown profile, failed dataset
-verification), 2 runtime failure.  The COPER_THREADS cap is applied when
-the `coper` package is imported, before this module runs.
+verification), 2 runtime failure.  train, eval and run-experiment verify
+the corpus they read before they train or decode, so a bad record fails
+with its file and line.  The COPER_THREADS cap is applied when the `coper`
+package is imported, before this module runs.
 """
 
 from __future__ import annotations
@@ -132,6 +134,17 @@ def _resolve(args: argparse.Namespace):
     return profile, replace(settings, model=model, train=train_cfg)
 
 
+def _verify(data_dir: Path) -> None:
+    """Raise ValidationFailure at the first record of `data_dir` that fails
+    `verify_dataset`, named by file and line."""
+    from .dataset import verify_dataset
+
+    report = verify_dataset(data_dir)
+    if not report.passed:
+        first = report.first_failure()
+        raise ValidationFailure(f"dataset failed verification at {first.file}:{first.line_no}: {first.reason}")
+
+
 def _build(profile, settings, seed: int, out: Path):
     """The gen stage: build the profile's corpus from the resolved settings into `out`."""
     from .dataset import build_dataset
@@ -189,6 +202,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_train(args) -> int:
     _, settings = _resolve(args)
+    _verify(Path(args.data))
     out = Path(args.out)
     model, runlog = _train_seed(settings, args.seed, Path(args.data), out, args.verbose)
     train_cfg = replace(settings.train, seed=args.seed)
@@ -202,6 +216,7 @@ def _cmd_eval(args) -> int:
     from .model import load_checkpoint
 
     model, _, _ = load_checkpoint(Path(args.ckpt))
+    _verify(Path(args.data))
     out = Path(args.out)
     result = _evaluate_model(model, Path(args.data), out)
     emit_category_bar([(args.name, result.report)], out / "categories.csv", out / "categories.svg")
@@ -213,7 +228,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_run_experiment(args) -> int:
-    from .dataset import verify_dataset
     from .evaluation import emit_category_bar
 
     profile, settings = _resolve(args)
@@ -228,12 +242,8 @@ def _cmd_run_experiment(args) -> int:
     _build(profile, settings, args.seed, data_dir)
     times = {"gen_s": clock() - start, "train_s": {}, "eval_s": {}}
     start = clock()
-    report = verify_dataset(data_dir)
+    _verify(data_dir)
     times["verify_s"] = clock() - start
-    if not report.passed:
-        first = report.first_failure()
-        raise ValidationFailure(
-            f"generated dataset failed verification at {first.file}:{first.line_no}: {first.reason}")
 
     named_reports = []
     for seed in seeds:

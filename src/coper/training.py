@@ -162,7 +162,13 @@ ADAM_EPS = 1e-8
 
 
 class AdamW:
-    """Adam with decoupled weight decay (decay hits weights, not moments)."""
+    """Adam with decoupled weight decay (decay hits weights, not moments).
+
+    `weight_decay` shrinks every tensor in `params`; `train` passes every
+    trainable tensor of the model, so the RMSNorm gains and the head are
+    decayed as the projections and feed-forward weights are.  The frozen
+    embedding is not trained, so it is not decayed.
+    """
 
     def __init__(self, params: dict, config: TrainConfig):
         self._items = sorted(params.items())

@@ -408,11 +408,24 @@ def reference_feed_forward(x, w1, w2, g):
     return (act @ w2).reshape(g.shape), (dh @ w1.T).reshape(x.shape), x2.T @ dh, act.T @ g2
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("b, s, d, f", [(3, 200, 16, 257), (1, 1, 3, 7)])
-def test_feed_forward_is_bitwise_the_three_op_chain(dtype, b, s, d, f):
-    # F is odd, and the 600 rows span several blocks of the hidden array,
-    # the last one ragged, in either dtype.
+def _block_rows(f, dtype):
+    """Rows in each block that `feed_forward` walks, for f hidden units."""
+    return max(1, ad._FEED_FORWARD_BLOCK_BYTES // (f * np.dtype(dtype).itemsize))
+
+
+def blocked_reference_feed_forward(x, w1, w2, g):
+    """reference_feed_forward run on each block of rows that `feed_forward`
+    walks: y and dx are the blocks' rows, dw1 and dw2 their sums in block order."""
+    step = _block_rows(w1.shape[1], w1.dtype)
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    y, dx, dw1, dw2 = zip(*(reference_feed_forward(x2[lo:lo + step], w1, w2, g2[lo:lo + step])
+                            for lo in range(0, len(x2), step)))
+    return np.concatenate(y).reshape(g.shape), np.concatenate(dx).reshape(x.shape), sum(dw1), sum(dw2)
+
+
+def _feed_forward_run(dtype, b, s, d, f):
+    """feed_forward's (y, dx, dw1, dw2) and the reference chain's for the same
+    output gradient, on seeded operands of the given shape."""
     rng = np.random.default_rng(33)
     x, w1, w2 = (ad.Tensor((rng.standard_normal(shape) / scale).astype(dtype), requires_grad=True)
                  for shape, scale in (((b, s, d), 1.0), ((d, f), np.sqrt(d)), ((f, d), np.sqrt(f))))
@@ -425,30 +438,77 @@ def test_feed_forward_is_bitwise_the_three_op_chain(dtype, b, s, d, f):
     with ad.Tape() as tape:
         loss = ad.cross_entropy(out, targets, mask)
     tape.backward(loss)
-    expected = reference_feed_forward(x.data, w1.data, w2.data, out.grad)
-    for got, want in zip((y.data, x.grad, w1.grad, w2.grad), expected):
-        assert got.dtype == dtype and np.array_equal(got, want)
+    return (y.data, x.grad, w1.grad, w2.grad), (x.data, w1.data, w2.data, out.grad)
 
 
-def _ffn_operands(grad):
-    """float32 x, w1 and w2 with T = 4096 tokens and F = 256 hidden units."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, s, d, f", [(2, 50, 16, 257), (1, 1, 3, 7)])
+def test_feed_forward_is_bitwise_the_three_op_chain(dtype, b, s, d, f):
+    # Shapes whose rows fit in one block, F odd.
+    assert b * s <= _block_rows(f, dtype)
+    got, operands = _feed_forward_run(dtype, b, s, d, f)
+    for g, want in zip(got, reference_feed_forward(*operands)):
+        assert g.dtype == dtype and np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feed_forward_is_bitwise_the_chain_block_by_block(dtype):
+    # F is odd, and the 600 rows span several blocks, the last one ragged,
+    # in either dtype.
+    assert 3 * 200 > 2 * _block_rows(257, dtype)
+    got, operands = _feed_forward_run(dtype, 3, 200, 16, 257)
+    for g, want in zip(got, blocked_reference_feed_forward(*operands)):
+        assert g.dtype == dtype and np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_blocked_feed_forward_is_near_the_unblocked_chain(dtype, tol):
+    # Summing the weight gradients block by block moves only their last bits.
+    got, operands = _feed_forward_run(dtype, 3, 200, 16, 257)
+    for g, want in zip(got, reference_feed_forward(*operands)):
+        assert np.abs(g - want).max() <= tol * np.abs(want).max()
+
+
+def _ffn_operands(grad, t=4096, d=64):
+    """float32 x, w1 and w2 with T tokens, width d and F = 256 hidden units."""
     rng = np.random.default_rng(34)
     return [ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
-            for shape in ((1, 4096, 64), (64, 256), (256, 64))]
+            for shape in ((1, t, d), (d, 256), (256, d))]
 
 
-def test_a_tape_free_feed_forward_peaks_at_one_hidden_array():
-    x, w1, w2 = _ffn_operands(grad=False)
-    t, f = x.shape[1], w1.shape[1]
+# T = 16,384 tokens of width 2: the (T, F) hidden array would be 64 blocks,
+# while the op's (T, 2) input, output and gradient are half a block each.
+_NARROW = {"t": 1 << 14, "d": 2}
+
+
+def test_a_tape_free_feed_forward_peaks_at_three_blocks():
+    x, w1, w2 = _ffn_operands(grad=False, **_NARROW)
     tracemalloc.start()
     try:
         ad.feed_forward(x, w1, w2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The hidden array with the output, or with GELU's two scratch blocks;
-    # matmul -> GELU -> matmul held three (T, F) arrays at once.
-    assert peak < 2 * t * f * 4
+    # The output, one hidden block and GELU's two scratch blocks; one
+    # (T, F) hidden array would be 64 blocks.
+    assert peak < 4 * ad._FEED_FORWARD_BLOCK_BYTES
+
+
+def test_a_feed_forward_backward_peaks_at_five_blocks():
+    x, w1, w2 = _ffn_operands(grad=True, **_NARROW)
+    t = x.shape[1]
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy(ad.feed_forward(x, w1, w2), np.zeros((1, t), int), np.ones((1, t)))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The recomputed hidden block, its GELU and GELU's three scratch blocks,
+    # beside x's gradient and the loss's (T, 2) arrays, about one block
+    # together; one (T, F) array would be 64 blocks.
+    assert peak < 7 * ad._FEED_FORWARD_BLOCK_BYTES
 
 
 def test_a_taped_feed_forward_keeps_no_hidden_array():

@@ -29,6 +29,17 @@ def micro_config(tmp_path):
     return str(path)
 
 
+def _corpus_and_checkpoint(tmp_path, capsys, micro_config):
+    """A built micro corpus and an untrained model's checkpoint."""
+    from coper.model import ModelConfig, Transformer, save_checkpoint
+
+    data, ckpt = tmp_path / "d", tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "gen", "--out", str(data), "--config", micro_config)
+    assert code == 0, err
+    save_checkpoint(Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1)), ckpt, 0, 0)
+    return data, ckpt
+
+
 class TestProfiles:
     def test_registry_names(self):
         assert set(PROFILES) == {
@@ -85,6 +96,23 @@ class TestGenVerify:
         (out / "train.jsonl").write_text("\n".join(lines) + "\n")
         code, stdout, _ = run(capsys, "verify", "--data", str(out))
         assert code == 1 and "FAIL" in stdout
+
+    @pytest.mark.parametrize("command, written", [("eval", "report.json"), ("train", "model.ckpt")])
+    def test_train_and_eval_verify_the_corpus_first(self, tmp_path, capsys, micro_config, command,
+                                                     written):
+        data, ckpt = _corpus_and_checkpoint(tmp_path, capsys, micro_config)
+        path = data / "test_id.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["target"] = ""
+        lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {"eval": ["--ckpt", str(ckpt)], "train": ["--config", micro_config]}[command]
+        code, _, err = run(capsys, command, *argv, "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert "dataset failed verification at test_id.jsonl:1: " in err
+        assert not (out / written).exists()
 
     def test_verify_rejects_foreign_vocabulary(self, tmp_path, capsys, micro_config):
         out = tmp_path / "d"
@@ -414,18 +442,16 @@ class TestEndToEnd:
         assert f"task_params need {rule}" in err
         assert not (tmp_path / "d").exists()
 
-    def test_runtime_shape_error_exits_two(self, tmp_path, capsys, monkeypatch):
+    def test_runtime_shape_error_exits_two(self, tmp_path, capsys, monkeypatch, micro_config):
         from coper import evaluation
         from coper.autodiff import ShapeError
-        from coper.model import ModelConfig, Transformer, save_checkpoint
 
         def broken(*args, **kwargs):
             raise ShapeError("cannot matmul shapes (2, 3) and (4, 5)")
 
         monkeypatch.setattr(evaluation, "evaluate", broken)
-        ckpt = tmp_path / "m.ckpt"
-        save_checkpoint(Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1)), ckpt, 0, 0)
-        code, _, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
+        data, ckpt = _corpus_and_checkpoint(tmp_path, capsys, micro_config)
+        code, _, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data),
                            "--out", str(tmp_path / "e"))
         assert code == 2
         assert "runtime failure: ShapeError" in err
