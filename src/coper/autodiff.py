@@ -6,8 +6,10 @@ rules for each primitive.  Ops run tape-free (pure numpy forward) when no
 tape is active, which is how inference and generation stay cheap.
 
 Primitives take only the forms the model runs: `matmul` is (B, S, D) @
-(D, F), `add` broadcasts only constants, `embedding` gathers from a frozen
-table.  The backward walk adds each leaf's gradient straight into .grad.
+(D, F), `add` sums two tensors of one shape, and `attention` is always
+given its window.  Constants, such as the model's frozen embedding rows and
+its sinusoid rows, stay in numpy and enter as plain Tensors, never as ops.
+The backward walk adds each leaf's gradient straight into .grad.
 
 The tape holds what backward reads and nothing longer than it is needed:
 each op's backward closure, and of its inputs only the leaves whose .grad
@@ -68,10 +70,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes that a primitive cannot combine."""
-
-
-class NumericalError(RuntimeError):
-    """Non-finite values where finite ones are required."""
 
 
 class Tensor:
@@ -215,19 +213,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a broadcast operand must be a constant, as the sinusoid table is."""
-    ad, bd = a.data, b.data
-    try:
-        data = ad + bd
-    except ValueError as exc:
-        raise ShapeError(f"cannot add shapes {ad.shape} and {bd.shape}") from exc
-    if any(t.requires_grad and t.data.shape != data.shape for t in (a, b)):
-        raise ShapeError(f"add broadcasts only constants, got {ad.shape} + {bd.shape} with a gradient")
+    """Elementwise sum of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
 
     def backward(g):
         return g, g
 
-    return _wrap(data, (a, b), backward)
+    return _wrap(a.data + b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -348,21 +341,20 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None,
-              extents: np.ndarray | None = None, firsts: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, extents: np.ndarray,
+              firsts: np.ndarray) -> Tensor:
     """Causal softmax(q @ k^T / sqrt(D) + mask) @ v as one op.
 
     q is (N, Sq, D); k and v are (N, Sk, D) and (N, Sk, Dv) with Sk >= Sq.
     Every call describes its rows by one window of three (N,) int arrays:
     query j of row i sits at key slot offsets[i] + j and sees the keys at
     slots up to its own, its queries from extents[i] on are right padding,
-    and those before firsts[i] are unread.  Omitted, they are zeros, Sq and
-    zeros; each offset must be in [0, Sk - Sq], each extent in [1, Sq] and
-    each first in [0, its row's extent - 1].  The mask and the scale
-    1 / sqrt(D) are derived here, never passed in.  Rows of the leading
-    axis are processed in blocks, and each block's tile covers only the
-    query rows [min first, max extent) against the keys [0, max offset +
-    max extent) of its rows.  The output and gradients of every read query
+    and those before firsts[i] are unread.  Each offset must be in [0, Sk -
+    Sq], each extent in [1, Sq] and each first in [0, its row's extent -
+    1].  The mask and the scale 1 / sqrt(D) are derived here, never passed
+    in.  Rows of the leading axis are processed in blocks, and each block's
+    tile covers only the query rows [min first, max extent) against the
+    keys [0, max offset + max extent) of its rows.  The output and gradients of every read query
     are unchanged as long as the loss reads no padded or unread query;
     output rows and dq outside a block's query rows are zero, and so are dk
     and dv past its keys.  The probabilities are never stored, only each
@@ -374,9 +366,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray | None = None
         raise ShapeError(f"cannot attend with q {qd.shape}, k {kd.shape}, v {vd.shape}")
     n, sq, _ = qd.shape
     sk = kd.shape[1]
-    offsets = np.zeros(n, dtype=np.int64) if offsets is None else np.asarray(offsets)
-    extents = np.full(n, sq) if extents is None else np.asarray(extents)
-    firsts = np.zeros(n, dtype=np.int64) if firsts is None else np.asarray(firsts)
     rules = (f"offsets must be {n} values in [0, {sk - sq}]", f"extents must be {n} values in [1, {sq}]",
              f"firsts must be {n} values, each in [0, its row's extent - 1]")
     for a, rule in zip((offsets, extents, firsts), rules):
@@ -495,16 +484,6 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     return _wrap(data, (x, gain), backward)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather from a frozen embedding table; no gradient reaches it."""
-    if table.requires_grad:
-        raise ValueError("embedding tables are frozen; got one that requires a gradient")
-    ids = np.asarray(ids)
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise ShapeError(f"ids outside table of {table.data.shape[0]} rows")
-    return Tensor(table.data[ids])
-
-
 def token_nll(logits: np.ndarray, targets: np.ndarray):
     """Per-position negative log-likelihood of integer `targets` under `logits`.
 
@@ -618,43 +597,3 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         return (gx,)
 
     return _wrap(data, (x,), backward)
-
-
-def grad_check(f, params, epsilon: float = 1e-3) -> float:
-    """Max relative disagreement between analytic and central-difference grads.
-
-    `f` is a closure returning a scalar Tensor from the current values of
-    `params`.  The analytic pass runs once under a tape; the numeric pass
-    re-evaluates f tape-free with each parameter element nudged by epsilon.
-    """
-    if not 1e-5 <= epsilon <= 1e-2:
-        raise ValueError(f"epsilon must be in [1e-5, 1e-2], got {epsilon}")
-    params = list(params)
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = f()
-    if not np.isfinite(loss.data).all():
-        raise NumericalError("loss is not finite")
-    tape.backward(loss)
-
-    worst = 0.0
-    for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(analytic).all():
-            raise NumericalError("analytic gradient is not finite")
-        flat = p.data.reshape(-1)
-        ga = np.asarray(analytic, dtype=np.float64).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = float(f().data)
-            flat[i] = orig - epsilon
-            f_minus = float(f().data)
-            flat[i] = orig
-            gn = (f_plus - f_minus) / (2.0 * epsilon)
-            if not np.isfinite(gn):
-                raise NumericalError("numeric gradient is not finite")
-            rel = abs(ga[i] - gn) / (abs(ga[i]) + abs(gn) + 1e-8)
-            worst = max(worst, rel)
-    return worst

@@ -64,6 +64,10 @@ class Split(str, Enum):
     TEST_EXTRAPOLATION = "test_extrapolation"
 
 
+# The held-out splits, in the order that training and evaluation report them.
+TEST_SPLITS = (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION)
+
+
 class PairClass(str, Enum):
     ID = "id"
     HOLLOW = "hollow"

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import VOCAB_SIZE
-from .dataset import Split, load_records
+from .dataset import TEST_SPLITS, Split, load_records
 from .model import ConfigError, Transformer, write_atomic
 from .training import (LossRegion, TokenScore, batch_arrays, encode_records, length_batches,
                        ood_weighted, read_window)
@@ -150,7 +150,7 @@ def evaluate(model: Transformer, data_dir: Path) -> EvalResult:
     grids: dict = {}
     split_accuracy: dict = {}
     scores: dict = {}
-    for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
+    for split in TEST_SPLITS:
         records = load_records(data_dir, split)
         if not records:
             continue

@@ -5,7 +5,12 @@ The token embedding is initialized from the model seed and frozen, so the
 model cannot smuggle numeric priors into the symbols; the output head is a
 separate trainable matrix.  Positional information enters either as rotary
 rotations of queries/keys (ROPE), an additive sinusoidal table (SINPE), or
-not at all (NONE).
+not at all (NONE).  Both tables come from `rope_tables`' angles: the
+sinusoid row of a position is the interleaved (sin, cos) of its rotary
+angles at the full model width and base 10000.  A model builds only the
+tables its PE kind reads.  The layer stack's input, each real token's
+frozen embedding row plus its sinusoid row under SINPE, is built in numpy
+as one constant, so neither table ever enters autodiff.
 
 `forward` and greedy decoding run the same layer code and describe a batch
 by one read window: right-padded rows, each row's real length (`extents`)
@@ -101,17 +106,6 @@ def rope_tables(d_head: int, n_positions: int, base: float) -> tuple[np.ndarray,
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def sinusoidal_table(n_positions: int, d_model: int) -> np.ndarray:
-    """Classic additive sine/cosine position table, shape (n_positions, d_model)."""
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
-    i = np.arange(d_model, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * (i // 2) / d_model)
-    table = np.zeros((n_positions, d_model), dtype=np.float64)
-    table[:, 0::2] = np.sin(angle[:, 0::2])
-    table[:, 1::2] = np.cos(angle[:, 1::2])
-    return table.astype(np.float32)
-
-
 class Transformer:
     """Causal decoder over the fixed character vocabulary."""
 
@@ -142,24 +136,27 @@ class Transformer:
         self.params["final_norm"] = ad.Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
         self.params["head"] = init((d, config.vocab_size), d)
 
-        # Rotary tables tiled over heads: one (max_seq_len, d_model / 2) row
-        # per position rotates a token's packed queries or keys in one op.
-        self._rope_cos, self._rope_sin = (np.tile(t, (1, config.n_heads)) for t in rope_tables(
-            config.d_head, config.max_seq_len, config.rope_base))
-        self._sinpe = sinusoidal_table(config.max_seq_len, d) if config.pe_kind is PeKind.SINPE else None
+        # The position tables the PE kind reads, one row per position: the
+        # rotary cos and sin tiled over heads, so that one (d_model / 2) row
+        # rotates a token's packed queries or keys in one op; the sinusoid,
+        # the interleaved (sin, cos) of the rotary angles at full width; or none.
+        self._pe_tables = ()
+        if config.pe_kind is PeKind.ROPE:
+            self._pe_tables = tuple(np.tile(t, (1, config.n_heads)) for t in rope_tables(
+                config.d_head, config.max_seq_len, config.rope_base))
+        elif config.pe_kind is PeKind.SINPE:
+            cos, sin = rope_tables(d, config.max_seq_len, 10000.0)
+            self._pe_tables = (np.stack((sin, cos), axis=-1).reshape(config.max_seq_len, d),)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         """The trainable tensors (the frozen embedding is not among them)."""
         return self.params
 
     def astype(self, dtype) -> "Transformer":
-        """Cast all state in place (float64 is used by the gradient checker)."""
+        """Cast all state in place (gradient checks run in float64)."""
         for t in list(self.params.values()) + [self.embedding]:
             t.data = t.data.astype(dtype)
-        self._rope_cos = self._rope_cos.astype(dtype)
-        self._rope_sin = self._rope_sin.astype(dtype)
-        if self._sinpe is not None:
-            self._sinpe = self._sinpe.astype(dtype)
+        self._pe_tables = tuple(t.astype(dtype) for t in self._pe_tables)
         return self
 
     def forward(self, tokens: np.ndarray, extents: np.ndarray | None = None,
@@ -214,15 +211,17 @@ class Transformer:
         read from firsts[i] on.
 
         A token's slot is also its position in the rotary or sinusoid table.
-        The T real tokens are packed, row by row, into one (1, T, D) tensor
-        on which the embedding, the position table, every norm, projection,
-        feed-forward, rope and the head run.  `split_heads` scatters the queries,
-        keys and values into zero-padded (B * H, S, d_head) tiles for
-        attention and the cache, `merge_heads` gathers attention's output
-        back, and a one-head split returns (B, S, vocab) logits, zero at
-        padding.  Unless every real token is read, a one-head `merge_heads`
-        gathers the read tokens from the last layer's input and its normed
-        copy; the last layer's keys and values still cover every real token.
+        The T real tokens are packed, row by row: their ids, which must be in
+        [0, vocab_size), select their frozen embedding rows, to which SINPE
+        adds their sinusoid rows, in one constant (1, T, D) tensor on which
+        every norm, projection, feed-forward, rope and the head run.
+        `split_heads` scatters the queries, keys and values into zero-padded
+        (B * H, S, d_head) tiles for attention and the cache, `merge_heads`
+        gathers attention's output back, and a one-head split returns (B, S,
+        vocab) logits, zero at padding.  Unless every real token is read, a
+        one-head `merge_heads` gathers the read tokens from the last layer's
+        input and its normed copy; the last layer's keys and values still
+        cover every real token.
         `cache` is a list of per-layer (keys, values) arrays of shape
         (B * H, slots, d_head).  Given empty, it receives each layer's own
         rotated key and value tiles, so a full forward fills it without a
@@ -241,35 +240,35 @@ class Transformer:
         slots = ((rows * h)[:, None] + np.arange(h)) * s + cols[:, None]
         tile = (b * h, s)
         pos = offsets[rows] + cols
-        if cfg.pe_kind is PeKind.ROPE:
-            cos, sin = np.take(self._rope_cos, pos, axis=0), np.take(self._rope_sin, pos, axis=0)
+        pe = [np.take(t, pos, axis=0) for t in self._pe_tables]  # each token's position rows
         head_offsets, head_extents = np.repeat(offsets, h), np.repeat(extents, h)
         if cache:  # each layer writes its keys and values at the slots where its queries sit
             written = (np.arange(b * h)[:, None], head_offsets[:, None] + np.arange(s))
         # The packed indices of the tokens whose last-layer outputs are read;
         # None when every real token is.
         read = None if not firsts.any() else np.flatnonzero(cols >= firsts[rows])
-        # The queries' tile slots, rotary rows and attention firsts: every
-        # real token's, until the last layer keeps only the read tokens.
-        q_slots, q_firsts = slots, np.zeros_like(head_extents)
-        if cfg.pe_kind is PeKind.ROPE:
-            q_cos, q_sin = cos, sin
 
-        x = ad.embedding(self.embedding, np.take(tokens, flat)[None])
+        ids = np.take(tokens, flat)
+        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+            raise ad.ShapeError(f"ids outside table of {cfg.vocab_size} rows")
+        x = self.embedding.data[ids]
+        del ids  # the layers hold no (T,) id array
         if cfg.pe_kind is PeKind.SINPE:
-            x = ad.add(x, ad.Tensor(np.take(self._sinpe, pos, axis=0)))
+            x += pe.pop()  # spent on the input: only rope's rows are read past it
+        x = ad.Tensor(x[None])
+        # The queries' tile slots, position rows and attention firsts: every
+        # real token's, until the last layer keeps only the read tokens.
+        q_slots, q_pe, q_firsts = slots, pe, np.zeros_like(head_extents)
         for layer in range(cfg.n_layers):
             p = self.params
             pre = f"layers.{layer}."
             hn = hq = ad.rmsnorm(x, p[pre + "attn_norm"])
             if layer == cfg.n_layers - 1 and read is not None:
                 x, hq = ad.merge_heads(x, read[:, None]), ad.merge_heads(hn, read[:, None])
-                q_slots, q_firsts = slots[read], np.repeat(firsts, h)
-                if cfg.pe_kind is PeKind.ROPE:
-                    q_cos, q_sin = cos[read], sin[read]
+                q_slots, q_pe, q_firsts = slots[read], [t[read] for t in pe], np.repeat(firsts, h)
             q, k = ad.matmul(hq, p[pre + "wq"]), ad.matmul(hn, p[pre + "wk"])
             if cfg.pe_kind is PeKind.ROPE:
-                q, k = ad.rope_rotate(q, q_cos, q_sin), ad.rope_rotate(k, cos, sin)
+                q, k = ad.rope_rotate(q, *q_pe), ad.rope_rotate(k, *pe)
             q, k = ad.split_heads(q, q_slots, tile), ad.split_heads(k, slots, tile)
             v = ad.split_heads(ad.matmul(hn, p[pre + "wv"]), slots, tile)
             if cache is not None and len(cache) == layer:

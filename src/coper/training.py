@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import BOS_ID, PAD_ID, encode
-from .dataset import SampleRecord, Split, load_records
+from .dataset import TEST_SPLITS, SampleRecord, Split, load_records
 from .model import Transformer, save_checkpoint, write_atomic
 
 
@@ -294,7 +294,7 @@ def train(
         raise ValueError(f"no training records under {data_dir}")
     train_samples = encode_records(train_records)
     eval_sets = {}
-    for split in (Split.TEST_ID, Split.TEST_HOLLOW, Split.TEST_EXTRAPOLATION):
+    for split in TEST_SPLITS:
         records = load_records(data_dir, split)
         if records:
             eval_sets[split] = encode_records(records)

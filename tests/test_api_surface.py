@@ -25,7 +25,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # (module, name) -> why nothing outside the tests needs to refer to it.
 ALLOWED = {
-    ("autodiff", "grad_check"): "the tests' reference gradient checker",
     ("autodiff", "scale"): "only the benchmark's self-test calls it",
     ("evaluation", "decode_records"):
         "the reference decoder the tests and the benchmark's self-test compare `evaluate` against",
@@ -33,7 +32,6 @@ ALLOWED = {
 }
 # (module, function, parameter) -> why no caller outside the tests sets it.
 ALLOWED_DEFAULTS = {
-    ("autodiff", "grad_check", "epsilon"): "the checker is test-only, and so is its step",
     ("cli", "main", "argv"): "the console script passes none; a Python caller passes its own",
 }
 

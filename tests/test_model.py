@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -18,9 +19,12 @@ from coper.model import (
     load_checkpoint,
     rope_tables,
     save_checkpoint,
-    sinusoidal_table,
 )
+from coper.profiles import PROFILES
 from coper.training import EvalPoint, RunLog
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import gradcheck  # noqa: E402
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_layers=2, ffn_mult=2, max_seq_len=64, init_seed=1)
 
@@ -68,6 +72,58 @@ def rotate(x: np.ndarray, positions, d_head: int, base: float = 10000.0) -> np.n
     positions = np.asarray(positions)
     cos, sin = rope_tables(d_head, int(positions.max()) + 1, base)
     return ad.rope_rotate(ad.Tensor(x), cos[positions], sin[positions]).data
+
+
+def reference_sinusoid(n_positions: int, d_model: int) -> np.ndarray:
+    """The classic additive table in closed form, (n_positions, d_model)
+    float32: entry (pos, j) is the sine (j even) or cosine (j odd) of
+    pos / 10000^(2 floor(j / 2) / d_model), computed in float64."""
+    pos = np.arange(n_positions, dtype=np.float64)[:, None]
+    i = np.arange(d_model, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, 2.0 * (i // 2) / d_model)
+    table = np.zeros((n_positions, d_model), dtype=np.float64)
+    table[:, 0::2] = np.sin(angle[:, 0::2])
+    table[:, 1::2] = np.cos(angle[:, 1::2])
+    return table.astype(np.float32)
+
+
+def model_sinusoid(d_model: int, n_positions: int) -> np.ndarray:
+    """The sinusoid table a SINPE model of that width and length adds."""
+    model = Transformer(ModelConfig(d_model=d_model, n_heads=1, n_layers=1, ffn_mult=1,
+                                    max_seq_len=n_positions, pe_kind=PeKind.SINPE))
+    (table,) = model._pe_tables
+    return table
+
+
+# Every profile's max_seq_len and the default config's.
+_DESK_LENGTHS = sorted({p.desk.model.max_seq_len for p in PROFILES.values()} | {ModelConfig().max_seq_len})
+
+
+class TestSinusoid:
+    """A SINPE model's table is the interleaved (sin, cos) of `rope_tables`'
+    angles at full width; the closed form divides by the frequency where
+    those angles multiply by its inverse."""
+
+    @pytest.mark.parametrize("max_seq_len", _DESK_LENGTHS)
+    def test_desk_width_tables_are_bytewise_the_closed_form(self, max_seq_len):
+        assert {p.desk.model.d_model for p in PROFILES.values()} == {64}
+        table = model_sinusoid(64, max_seq_len)
+        assert table.dtype == np.float32
+        assert np.array_equal(table, reference_sinusoid(max_seq_len, 64))
+
+    def test_every_width_agrees_with_the_closed_form(self):
+        for d_model in range(8, 513, 8):
+            np.testing.assert_allclose(model_sinusoid(d_model, 1024), reference_sinusoid(1024, d_model),
+                                       rtol=0, atol=1e-10, err_msg=f"d_model {d_model}")
+
+    def test_the_sinusoid_keeps_base_10000_whatever_the_rope_base(self):
+        (table,) = Transformer(replace(TINY, pe_kind=PeKind.SINPE, rope_base=500.0))._pe_tables
+        assert np.array_equal(table, reference_sinusoid(TINY.max_seq_len, TINY.d_model))
+
+    def test_only_a_sinpe_model_builds_the_sinusoid(self):
+        shapes = {kind: [t.shape for t in Transformer(replace(TINY, pe_kind=kind))._pe_tables]
+                  for kind in PeKind}
+        assert shapes == {PeKind.ROPE: [(64, 8), (64, 8)], PeKind.SINPE: [(64, 16)], PeKind.NONE: []}
 
 
 class TestApplyRope:
@@ -121,7 +177,7 @@ class TestApplyRope:
         # Witness search: additive absolute encodings shift scores by more
         # than 1e-2 somewhere.
         rng = np.random.default_rng(3)
-        table = sinusoidal_table(600, 16)
+        table = model_sinusoid(16, 600)
         found = False
         for _ in range(1000):
             q = rng.standard_normal(16).astype(np.float32)
@@ -146,6 +202,61 @@ class TestApplyRope:
                 turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
                 expect = turn @ x[0, pos, 2 * i:2 * i + 2].astype(np.float64)
                 np.testing.assert_allclose(rotated[0, pos, 2 * i:2 * i + 2], expect, atol=1e-6)
+
+
+class TestInput:
+    """The layer stack's input: each real token's frozen embedding row, plus
+    its sinusoid row under SINPE, gathered in numpy as one constant."""
+
+    @pytest.mark.parametrize("kind", list(PeKind))
+    def test_it_is_each_real_tokens_row_plus_its_sinusoid(self, kind, monkeypatch):
+        model = Transformer(replace(TINY, pe_kind=kind))
+        tokens, extents = np.array([[3, 0, 16, 5, 9], [16, 2, 7, 7, 7]]), np.array([5, 2])
+        inputs, rmsnorm = [], ad.rmsnorm
+        monkeypatch.setattr(ad, "rmsnorm", lambda x, gain: inputs.append(x) or rmsnorm(x, gain))
+        model.forward(tokens, extents)
+        expect = model.embedding.data[[3, 0, 16, 5, 9, 16, 2]]
+        if kind is PeKind.SINPE:
+            expect = expect + reference_sinusoid(TINY.max_seq_len, TINY.d_model)[[0, 1, 2, 3, 4, 0, 1]]
+        x = inputs[0]
+        assert x.shape == (1, 7, TINY.d_model) and not x.requires_grad
+        assert np.array_equal(x.data[0], expect)
+
+    @pytest.mark.parametrize("bad", [-1, 17, 99])
+    def test_an_id_outside_the_vocabulary_fails_before_any_layer_runs(self, bad, monkeypatch):
+        # numpy would wrap a negative id to a row from the end, silently.
+        model = Transformer(TINY)
+        layers = []
+        monkeypatch.setattr(ad, "rmsnorm", lambda *args: layers.append(args))
+        tokens = np.zeros((2, 9), dtype=np.int64)
+        tokens[1, 4] = bad  # inside row 1's prompt
+        for call in (model.forward, model.decode):
+            with pytest.raises(ad.ShapeError, match="ids outside table of 17 rows"):
+                call(tokens, np.array([9, 6]), np.array([2, 5]))
+        assert not layers
+
+    def test_junk_past_a_rows_extent_is_accepted(self):
+        model = Transformer(TINY)
+        tokens = np.random.default_rng(16).integers(0, 17, size=(2, 9))
+        extents, firsts = np.array([9, 4]), np.array([2, 1])
+        junk = tokens.copy()
+        junk[1, 4:] = [-5, 17, 99, -1, 1000]
+        assert np.array_equal(model.forward(junk, extents, firsts).data,
+                              model.forward(tokens, extents, firsts).data)
+        for got, want in zip(model.decode(junk, extents, firsts), model.decode(tokens, extents, firsts)):
+            assert np.array_equal(got, want)
+
+    def test_the_embedding_never_enters_the_tape(self):
+        # Even a table marked as needing a gradient receives none: the model
+        # reads its rows as a constant.
+        model = Transformer(TINY)
+        model.embedding.requires_grad = True
+        tokens = np.random.default_rng(17).integers(0, 17, size=(2, 6))
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy(model.forward(tokens), tokens, np.ones((2, 6)))
+        tape.backward(loss)
+        assert model.embedding.grad is None
+        assert all(t.grad is not None for t in model.parameters().values())
 
 
 class TestForward:
@@ -333,7 +444,7 @@ def reference_logits(model: Transformer, tokens: np.ndarray) -> np.ndarray:
 
     x = w["embedding"][tokens]
     if cfg.pe_kind is PeKind.SINPE:
-        x = x + sinusoidal_table(s, cfg.d_model).astype(np.float64)
+        x = x + reference_sinusoid(s, cfg.d_model).astype(np.float64)
     causal = np.triu(np.full((s, s), -np.inf), k=1)
     for layer in range(cfg.n_layers):
         p = {name[len(f"layers.{layer}."):]: arr for name, arr in w.items()
@@ -701,7 +812,7 @@ class TestFullModelGradients:
         def f():
             return ad.cross_entropy(model.forward(tokens), targets, mask)
 
-        err = ad.grad_check(f, model.parameters().values(), epsilon=1e-3)
+        err = gradcheck.grad_check(f, model.parameters().values(), epsilon=1e-3)
         assert err < 1e-3
 
     @pytest.mark.parametrize("kind", list(PeKind))
@@ -718,7 +829,7 @@ class TestFullModelGradients:
         def f():
             return ad.cross_entropy(model.forward(tokens, extents), targets, mask)
 
-        err = ad.grad_check(f, model.parameters().values(), epsilon=1e-3)
+        err = gradcheck.grad_check(f, model.parameters().values(), epsilon=1e-3)
         assert err < 1e-3
 
     def test_model_attention_relative_invariance(self):
@@ -727,7 +838,7 @@ class TestFullModelGradients:
         # a function of relative offset only.
         cfg = ModelConfig(d_model=32, n_heads=4, n_layers=1, max_seq_len=512, init_seed=0)
         model = Transformer(cfg)
-        cos, sin = model._rope_cos, model._rope_sin
+        cos, sin = model._pe_tables
         rng = np.random.default_rng(8)
         q = rng.standard_normal((200, 1, cfg.d_model)).astype(np.float32)
         k = rng.standard_normal((200, 1, cfg.d_model)).astype(np.float32)
