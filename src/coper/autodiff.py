@@ -17,11 +17,15 @@ backward writes.  An op's output carries its (tape serial, node index)
 instead of being held, so an array no backward rule reads (the q, k and v
 projections, rope's outputs, the wo and feed-forward outputs, the residual
 stream) is freed as soon as the forward drops it, and backward drops each
-node once it has run it, freeing what its closure captured.  A tape runs
-backward once.  Desk `coper-default` `run-experiment --epochs 1` peaked at
-190-194 MB this way, against 323 MB when the tape held every op's inputs,
-output and closure until the step ended, at 142 MB once the feed-forward
-kept no hidden array, and at 133-135 MB once it made none (below).
+node once it has run it, freeing what its closure captured.  No op's
+forward scratch (attention's score tile, the feed-forward's blocks) reaches
+its closure, and `rmsnorm`'s backward makes x's gradient and one other
+array of x's shape.  A tape runs backward once.  Desk `coper-default`
+`run-experiment --epochs 1` peaked at 190-194 MB this way, against 323 MB
+when the tape held every op's inputs, output and closure until the step
+ended; at 142 MB once the feed-forward kept no hidden array, at 133-135 MB
+once it made none (below), and at 126 MB once it normed its own rows and
+the model dropped each layer's arrays after their last read.
 
 The model runs its per-token ops on a packed (1, T, D) tensor of the T real
 tokens of a right-padded batch.  `split_heads` and `merge_heads` are the
@@ -39,7 +43,8 @@ axis in blocks whose score tile is about _ATTENTION_BLOCK_BYTES, builds the
 masked softmax in place in one buffer with float64 row sums, and keeps only
 the per-row log-sum-exp, and that only when a tape records the op; its
 backward recomputes each block's probabilities from q, k and that
-log-sum-exp rather than storing the (B*H, Sq, Sk) tensor.
+log-sum-exp, in a buffer of its own, rather than storing the (B*H, Sq, Sk)
+tensor.
 Every call describes its rows by one window: each row's offset, the key
 slot of its first query, which lets a decoding step attend over its
 key/value cache; its extent, the real length of a right-padded row; and its
@@ -47,18 +52,22 @@ first, the first query whose output is read.  A block's tile covers only
 the query rows [min first, max extent) and the keys [0, max offset + max
 extent) of its rows: the read positions are unchanged, and the query rows
 outside that window get zero output and zero gradient.
-The feed-forward GELU(x @ w1) @ w2 is one fused primitive too.  Its
-(T, F) hidden activations, F = ffn_mult * d_model, are the largest a layer
-computes, and matmul, GELU and matmul as three taped ops kept three (T, F)
-arrays, x @ w1, the tanh and the GELU, from forward to backward.
-`feed_forward` keeps only x and makes no (T, F) array at all: forward and
-backward walk the T rows in blocks of about _FEED_FORWARD_BLOCK_BYTES of
-hidden units, and the backward recomputes each block's x @ w1.  It holds
-three such blocks at most in the forward and five in the backward.  The
-weight gradients are summed block by block, which moves their last bits;
-the output and x's gradient move only where BLAS rounds a block's rows
-unlike the whole array's, which float32 at desk shapes never did.  No
-primitive writes into its inputs' arrays.
+The pre-norm feed-forward GELU(rmsnorm(x, gain) @ w1) @ w2 is one fused
+primitive too.  Its (T, F) hidden activations, F = ffn_mult * d_model, are
+the largest a layer computes, and matmul, GELU and matmul as three taped
+ops kept three (T, F) arrays, x @ w1, the tanh and the GELU, from forward
+to backward; a separate norm op kept the normed rows, and the op after it
+their gain-scaled copy, two more (T, D) arrays.  `feed_forward` keeps only
+x and its rows' (T, 1) inverse norms and makes no (T, F) array at all:
+forward and backward walk the T rows in blocks of about
+_FEED_FORWARD_BLOCK_BYTES of hidden units, normalize each block into block
+scratch, and the backward recomputes each block's hidden units.  It holds
+three such blocks at most in the forward and five in the backward, beside
+(rows, D) norm blocks.  The weight gradients are summed block by block,
+which moves their last bits; the gain's is one float64 sum in row order, as
+the norm op's was; the output and x's gradient move only where BLAS rounds
+a block's rows unlike the whole array's, which float32 at desk shapes never
+did.  No primitive writes into its inputs' arrays.
 """
 
 from __future__ import annotations
@@ -273,37 +282,46 @@ def _gelu_rows(h: np.ndarray, act: np.ndarray | None = None) -> None:
     np.add(u, t, out=h)
 
 
-def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """GELU(x @ w1) @ w2 for x (B, S, D), w1 (D, F) and w2 (F, D'), as one op.
+def feed_forward(x: Tensor, gain: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """GELU(rmsnorm(x, gain) @ w1) @ w2 for x (B, S, D), gain (D,), w1 (D, F)
+    and w2 (F, D'), as one op.
 
     It walks the B * S rows in blocks of about _FEED_FORWARD_BLOCK_BYTES of
-    hidden units, so no (B * S, F) array is made; the tape keeps only x.
-    The forward puts each block's x @ w1 in one block buffer, takes its GELU
-    in place and multiplies by w2 straight into the block's output rows.
-    The backward recomputes each block's x @ w1, its GELU and GELU', writes
-    the block's rows of x's gradient and adds the block's products into
-    w1's and w2's.  Each elementwise step has the order of the three ops
+    hidden units, so neither the (B * S, F) hidden array nor a normed copy
+    of x is made; the tape keeps only x and its rows' (B * S, 1) inverse
+    norms.  The forward normalizes each block into one block buffer, puts
+    its @ w1 in another, takes the GELU in place and multiplies by w2
+    straight into the block's output rows.  The backward normalizes each
+    block again, recomputes its x @ w1, GELU and GELU', adds the block's
+    products into w1's and w2's gradients and takes the norm's backward over
+    the block's rows: it writes their rows of x's gradient and carries the
+    gain's gradient as one float64 sum in row order, as the norm op summed
+    every row.  Each elementwise step has the order of the four ops rmsnorm,
     matmul, GELU, matmul, so a block's rows of the output and of x's
-    gradient are what those ops give for the block alone.  The weight
-    gradients are sums over the blocks, which moves their last bits (about
-    5e-7 of the largest entry in float32).
+    gradient, and the gain's gradient over those rows, are what those ops
+    give for the block alone.  The weight gradients are sums over the
+    blocks, which moves their last bits (about 5e-7 of the largest entry in
+    float32).
     """
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    if (xd.ndim != 3 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0]
-            or w1d.shape[1] != w2d.shape[0]):
-        raise ShapeError(f"feed_forward takes (B, S, D), (D, F), (F, D'), got {xd.shape}, {w1d.shape} "
-                         f"and {w2d.shape}")
+    xd, gd, w1d, w2d = x.data, gain.data, w1.data, w2.data
+    if (xd.ndim != 3 or gd.shape != xd.shape[-1:] or w1d.ndim != 2 or w2d.ndim != 2
+            or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]):
+        raise ShapeError(f"feed_forward takes (B, S, D), (D,), (D, F), (F, D'), got {xd.shape}, {gd.shape}, "
+                         f"{w1d.shape} and {w2d.shape}")
     x_shape = xd.shape
     xd = xd.reshape(-1, x_shape[-1])
     n, (d, f) = len(xd), w1d.shape
-    dtype = np.result_type(xd, w1d)
+    dtype = np.result_type(xd, gd, w1d)
     step = max(1, _FEED_FORWARD_BLOCK_BYTES // (f * dtype.itemsize))
-    hidden = np.empty((min(step, n), f), dtype=dtype)
+    inv = _inv_rms(xd)
+    normed, hidden = np.empty((min(step, n), d), dtype=dtype), np.empty((min(step, n), f), dtype=dtype)
     data = None
     # At least one block, so that an empty x still gets its empty output.
     for lo in range(0, max(n, 1), step):
         xb = xd[lo:lo + step]
-        hb = np.matmul(xb, w1d, out=hidden[:len(xb)])
+        nb = np.multiply(xb, inv[lo:lo + step], out=normed[:len(xb)])
+        nb *= gd
+        hb = np.matmul(nb, w1d, out=hidden[:len(xb)])
         _gelu_rows(hb)
         if data is None:  # made once GELU's scratch is freed, so a one-block call never holds both
             data = np.empty((n, w2d.shape[1]), dtype=np.result_type(hb, w2d))
@@ -311,27 +329,41 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
-        h, a = np.empty((2, min(step, n), f), dtype=dtype)
+        rows = min(step, n)
+        xhat, normed, tmp = np.empty((3, rows, d), dtype=dtype)
+        h, a = np.empty((2, rows, f), dtype=dtype)
         gx = np.empty((n, d), dtype=dtype) if x.requires_grad else None
+        # Row 0 carries the gain's gradient in float64; each block's terms follow it.
+        gsum = np.zeros((rows + 1, d)) if gain.requires_grad else None
         gw1 = np.zeros((d, f), dtype=dtype) if w1.requires_grad else None
         gw2 = np.zeros(w2d.shape, dtype=np.result_type(dtype, g)) if w2.requires_grad else None
         for lo in range(0, n, step):
             xb, gb = xd[lo:lo + step], g[lo:lo + step]
-            hb, ab = h[:len(xb)], a[:len(xb)]
-            np.matmul(xb, w1d, out=hb)
+            k = len(xb)
+            xh, nb, hb, ab = xhat[:k], normed[:k], h[:k], a[:k]
+            np.multiply(xb, inv[lo:lo + step], out=xh)
+            np.multiply(xh, gd, out=nb)
+            np.matmul(nb, w1d, out=hb)
             _gelu_rows(hb, ab)
             if gw2 is not None:
                 gw2 += ab.T @ gb
             np.matmul(gb, w2d.T, out=ab)
             ab *= 0.5
             hb *= ab
-            if gx is not None:
-                np.matmul(hb, w1d.T, out=gx[lo:lo + step])
             if gw1 is not None:
-                gw1 += xb.T @ hb
-        return None if gx is None else gx.reshape(x_shape), gw1, gw2
+                gw1 += nb.T @ hb
+            if gx is None and gsum is None:
+                continue
+            gn = np.matmul(hb, w1d.T, out=nb)  # the normed rows' gradient
+            if gx is not None:
+                _rmsnorm_rows_grad(gn, xh, inv[lo:lo + step], gd, tmp[:k], gx[lo:lo + step])
+            if gsum is not None:
+                np.multiply(gn, xh, out=gsum[1:k + 1])
+                gsum[0] = gsum[:k + 1].sum(axis=0)
+        ggain = None if gsum is None else gsum[0].astype(gd.dtype)
+        return None if gx is None else gx.reshape(x_shape), ggain, gw1, gw2
 
-    return _wrap(data.reshape(*x_shape[:-1], w2d.shape[1]), (x, w1, w2), backward)
+    return _wrap(data.reshape(*x_shape[:-1], w2d.shape[1]), (x, gain, w1, w2), backward)
 
 
 # Bytes of one block's (rows, S, S) score tile in `attention`.  About 1 MiB
@@ -394,12 +426,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, extents: np.
     shared = max(top) == 0
     if shared:
         mask = np.where(slot > own, -np.inf, 0.0).astype(dtype)
-    buf = np.empty(min(step, n) * sq * sk, dtype=dtype)
+    size = min(step, n) * sq * sk  # one block's score tile; the forward and backward each make their own
     out = np.empty((n, sq, vd.shape[-1]), dtype=dtype)
     taped = _recording_tape((q, k, v)) is not None
     lse = np.empty((n, sq, 1), dtype=dtype) if taped else None  # only a backward reads it
 
-    def scores(lo, hi, fq, eq, ek):
+    def scores(buf, lo, hi, fq, eq, ek):
         sc = buf[:(hi - lo) * (eq - fq) * ek].reshape(hi - lo, eq - fq, ek)
         np.matmul(qd[lo:hi, fq:eq], _swap_last(kd[lo:hi, :ek]), out=sc)
         sc *= scale
@@ -409,8 +441,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, extents: np.
             np.copyto(sc, -np.inf, where=slot[:ek] > offsets[lo:hi, None, None] + own[fq:eq])
         return sc
 
+    buf = np.empty(size, dtype=dtype)
     for lo, hi, fq, eq, ek in blocks:
-        p = scores(lo, hi, fq, eq, ek)
+        p = scores(buf, lo, hi, fq, eq, ek)
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
@@ -426,9 +459,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, extents: np.
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
-        dbuf = np.empty_like(buf)
+        buf, dbuf = np.empty((2, size), dtype=dtype)
         for lo, hi, fq, eq, ek in blocks:
-            p = scores(lo, hi, fq, eq, ek)
+            p = scores(buf, lo, hi, fq, eq, ek)
             p -= lse[lo:hi, fq:eq]
             np.exp(p, out=p)
             gb = g[lo:hi, fq:eq]
@@ -458,27 +491,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, extents: np.
 _RMS_EPS = 1e-6
 
 
+def _inv_rms(xd: np.ndarray) -> np.ndarray:
+    """Each row's 1 / sqrt(mean(x^2) + eps), shape (..., 1), accumulated in float64."""
+    ms = np.einsum("...i,...i->...", xd, xd, dtype=np.float64)[..., None]
+    ms /= xd.shape[-1]
+    ms += _RMS_EPS
+    np.sqrt(ms, out=ms)
+    return np.asarray(np.divide(1.0, ms, out=ms), dtype=xd.dtype)
+
+
+def _rmsnorm_rows_grad(g, xhat, inv, gain, tmp, gx) -> None:
+    """Write RMSNorm's x gradient, inv * (g * gain - xhat * rowsum(g * gain
+    * xhat) / D), into gx from the output gradient g, the normed rows xhat
+    and their inverse norms inv, with tmp of xhat's shape as scratch.  The
+    rule is row by row, so a block of rows gets what the whole array gets."""
+    np.multiply(g, gain, out=gx)
+    np.multiply(gx, xhat, out=tmp)
+    dot = tmp.sum(axis=-1, keepdims=True, dtype=np.float64).astype(gx.dtype)  # 64-bit accumulation
+    np.multiply(xhat, dot / xhat.shape[-1], out=tmp)
+    gx -= tmp
+    gx *= inv
+
+
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    """Root-mean-square normalization over the last axis with a learned gain."""
+    """Root-mean-square normalization over the last axis with a learned gain.
+
+    The tape keeps the normed rows and their inverse norms; the backward
+    makes x's gradient and at most one other array of x's shape."""
     xd = x.data
     if gain.data.shape != (xd.shape[-1],):
         raise ShapeError(f"gain shape {gain.data.shape} does not match feature dim {xd.shape[-1]}")
-    n = xd.shape[-1]
-    ms = np.einsum("...i,...i->...", xd, xd, dtype=np.float64)[..., None] / n  # 64-bit accumulation
-    inv = np.asarray(1.0 / np.sqrt(ms + _RMS_EPS), dtype=xd.dtype)
+    inv = _inv_rms(xd)
     xhat = xd * inv
-    data = xhat * gain.data
+    taped = _recording_tape((x, gain)) is not None
+    data = xhat * gain.data if taped else np.multiply(xhat, gain.data, out=xhat)
 
-    x_grad, dtype = x.requires_grad, xd.dtype  # the closure holds neither x nor its data
+    x_grad = x.requires_grad  # the closure holds neither x nor its data
 
     def backward(g):
         gx = ggain = None
+        tmp = np.empty_like(xhat, dtype=np.result_type(g, xhat))
         if x_grad:
-            gg = g * gain.data
-            dot = (gg * xhat).sum(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
-            gx = inv * (gg - xhat * (dot / n))
+            gx = np.empty_like(tmp)
+            _rmsnorm_rows_grad(g, xhat, inv, gain.data, tmp, gx)
         if gain.requires_grad:
-            ggain = (g * xhat).reshape(-1, n).sum(axis=0, dtype=np.float64).astype(gain.data.dtype)
+            np.multiply(g, xhat, out=tmp)
+            ggain = tmp.reshape(-1, xhat.shape[-1]).sum(axis=0, dtype=np.float64).astype(gain.data.dtype)
         return gx, ggain
 
     return _wrap(data, (x, gain), backward)

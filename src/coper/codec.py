@@ -32,15 +32,26 @@ def vocab_table() -> dict[str, int]:
     return table
 
 
+# Byte -> id for the ASCII vocabulary characters, _BAD for every other byte.
+_BAD = 255
+_ID_OF_BYTE = bytes(CHAR_TO_ID.get(chr(b), _BAD) for b in range(256))
+
+
 def encode(text: str) -> TokenSeq:
-    """Map a string to token ids; raises UnknownSymbol at the first bad char."""
-    ids = []
-    for i, ch in enumerate(text):
-        t = CHAR_TO_ID.get(ch)
-        if t is None:
-            raise UnknownSymbol(f"character {ch!r} not in vocabulary", i)
-        ids.append(t)
-    return tuple(ids)
+    """Map a string to token ids; raises UnknownSymbol at the first bad char.
+
+    Every vocabulary character is ASCII, so the ids are the text's ASCII
+    bytes translated through one table; only a text that fails that is
+    walked character by character, to find the first bad one.
+    """
+    try:
+        ids = text.encode("ascii").translate(_ID_OF_BYTE)
+    except UnicodeEncodeError:
+        ids = None
+    if ids is not None and _BAD not in ids:
+        return tuple(ids)
+    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in CHAR_TO_ID)
+    raise UnknownSymbol(f"character {ch!r} not in vocabulary", i)
 
 
 def serialize_sample(seq1_text: str, seq2_text: str, answer_text: str) -> tuple[str, str]:

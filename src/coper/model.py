@@ -241,12 +241,14 @@ class Transformer:
         tile = (b * h, s)
         pos = offsets[rows] + cols
         pe = [np.take(t, pos, axis=0) for t in self._pe_tables]  # each token's position rows
+        del pos
         head_offsets, head_extents = np.repeat(offsets, h), np.repeat(extents, h)
         if cache:  # each layer writes its keys and values at the slots where its queries sit
             written = (np.arange(b * h)[:, None], head_offsets[:, None] + np.arange(s))
         # The packed indices of the tokens whose last-layer outputs are read;
         # None when every real token is.
         read = None if not firsts.any() else np.flatnonzero(cols >= firsts[rows])
+        del rows, cols  # the layers read the packing only through slots, flat and read
 
         ids = np.take(tokens, flat)
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -259,6 +261,8 @@ class Transformer:
         # The queries' tile slots, position rows and attention firsts: every
         # real token's, until the last layer keeps only the read tokens.
         q_slots, q_pe, q_firsts = slots, pe, np.zeros_like(head_extents)
+        # Each layer drops its arrays after their last read, so attention
+        # runs beside the residual stream and the head tiles alone.
         for layer in range(cfg.n_layers):
             p = self.params
             pre = f"layers.{layer}."
@@ -266,21 +270,29 @@ class Transformer:
             if layer == cfg.n_layers - 1 and read is not None:
                 x, hq = ad.merge_heads(x, read[:, None]), ad.merge_heads(hn, read[:, None])
                 q_slots, q_pe, q_firsts = slots[read], [t[read] for t in pe], np.repeat(firsts, h)
-            q, k = ad.matmul(hq, p[pre + "wq"]), ad.matmul(hn, p[pre + "wk"])
+            q = ad.matmul(hq, p[pre + "wq"])
+            del hq
             if cfg.pe_kind is PeKind.ROPE:
-                q, k = ad.rope_rotate(q, *q_pe), ad.rope_rotate(k, *pe)
-            q, k = ad.split_heads(q, q_slots, tile), ad.split_heads(k, slots, tile)
+                q = ad.rope_rotate(q, *q_pe)
+            q = ad.split_heads(q, q_slots, tile)
+            k = ad.matmul(hn, p[pre + "wk"])
+            if cfg.pe_kind is PeKind.ROPE:
+                k = ad.rope_rotate(k, *pe)
+            k = ad.split_heads(k, slots, tile)
             v = ad.split_heads(ad.matmul(hn, p[pre + "wv"]), slots, tile)
+            del hn
             if cache is not None and len(cache) == layer:
                 cache.append((k.data, v.data))
             elif cache is not None:
                 keys, values = cache[layer]
                 keys[written], values[written] = k.data, v.data
                 k, v = ad.Tensor(keys), ad.Tensor(values)
-            o = ad.merge_heads(ad.attention(q, k, v, head_offsets, head_extents, q_firsts), q_slots)
+            o = ad.attention(q, k, v, head_offsets, head_extents, q_firsts)
+            del q, k, v
+            o = ad.merge_heads(o, q_slots)
             x = ad.add(x, ad.matmul(o, p[pre + "wo"]))
-            fn = ad.rmsnorm(x, p[pre + "ffn_norm"])
-            x = ad.add(x, ad.feed_forward(fn, p[pre + "w1"], p[pre + "w2"]))
+            del o
+            x = ad.add(x, ad.feed_forward(x, p[pre + "ffn_norm"], p[pre + "w1"], p[pre + "w2"]))
         x = ad.rmsnorm(x, self.params["final_norm"])
         # A one-head split puts each read token's logits back at its (row, slot).
         out_slots = flat[:, None] if read is None else flat[read, None]

@@ -103,7 +103,7 @@ class TestTapeLifetime:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.x, self.w = rand64(rng, 1, 4, 6, grad=False), rand64(rng, 6, 6)
-        self.w1, self.w2 = rand64(rng, 6, 5), rand64(rng, 5, 6)
+        self.gain, self.w1, self.w2 = rand64(rng, 6), rand64(rng, 6, 5), rand64(rng, 5, 6)
         angles = rng.standard_normal((4, 3))
         self.cos, self.sin = np.cos(angles), np.sin(angles)
         self.targets, self.mask = np.array([[0, 1, 2, 3]]), np.ones((1, 4), bool)
@@ -123,7 +123,7 @@ class TestTapeLifetime:
         with ad.Tape() as tape:
             h = ad.matmul(self.x, self.w)
             probe = weakref.ref(h.data)
-            loss = ad.cross_entropy(ad.feed_forward(h, self.w1, self.w2), self.targets, self.mask)
+            loss = ad.cross_entropy(ad.feed_forward(h, self.gain, self.w1, self.w2), self.targets, self.mask)
             del h
         assert probe() is not None  # feed_forward's backward reads its input
         tape.backward(loss)
@@ -208,12 +208,13 @@ class TestForwardSemantics:
             assert str(a) in str(err.value) and str(b) in str(err.value)
 
     def test_feed_forward_shape_error_names_shapes(self):
-        # Only (B, S, D), (D, F), (F, D') are accepted.
-        for x, w1, w2 in (((4, 5), (5, 3), (3, 5)), ((2, 4, 5), (4, 3), (3, 5)),
-                          ((2, 4, 5), (5, 3), (4, 5)), ((2, 4, 5), (1, 5, 3), (3, 5))):
+        # Only (B, S, D), (D,), (D, F), (F, D') are accepted.
+        for shapes in (((4, 5), (5,), (5, 3), (3, 5)), ((2, 4, 5), (5,), (4, 3), (3, 5)),
+                       ((2, 4, 5), (5,), (5, 3), (4, 5)), ((2, 4, 5), (5,), (1, 5, 3), (3, 5)),
+                       ((2, 4, 5), (4,), (5, 3), (3, 5)), ((2, 4, 5), (1, 5), (5, 3), (3, 5))):
             with pytest.raises(ad.ShapeError) as err:
-                ad.feed_forward(*(ad.Tensor(np.zeros(shape)) for shape in (x, w1, w2)))
-            assert all(str(shape) in str(err.value) for shape in (x, w1, w2))
+                ad.feed_forward(*(ad.Tensor(np.zeros(shape)) for shape in shapes))
+            assert all(str(shape) in str(err.value) for shape in shapes)
 
     def test_add_rejects_any_shape_mismatch(self):
         # A broadcast operand is rejected whether or not it needs a gradient.
@@ -287,9 +288,9 @@ class TestGradCheckPrimitives:
 
     def test_feed_forward(self):
         rng = np.random.default_rng(15)
-        x, w1, w2 = rand64(rng, 2, 4, 5), rand64(rng, 5, 7), rand64(rng, 7, 6)
-        f = lambda: ad.cross_entropy(ad.feed_forward(x, w1, w2), np.ones((2, 4), int), np.ones((2, 4)))
-        self.check(f, [x, w1, w2])
+        x, gain, w1, w2 = rand64(rng, 2, 4, 5), rand64(rng, 5), rand64(rng, 5, 7), rand64(rng, 7, 6)
+        f = lambda: ad.cross_entropy(ad.feed_forward(x, gain, w1, w2), np.ones((2, 4), int), np.ones((2, 4)))
+        self.check(f, [x, gain, w1, w2])
 
     def test_softmax(self):
         # An odd head dim: the derived scale 1 / sqrt(3) is not a power of two.
@@ -394,26 +395,47 @@ class TestGradCheckValidation:
 def test_forward_determinism():
     rng = np.random.default_rng(30)
     x = ad.Tensor(rng.standard_normal((4, 8, 16)).astype(np.float32))
+    gain = ad.Tensor(rng.standard_normal(16).astype(np.float32))
     w1 = ad.Tensor(rng.standard_normal((16, 64)).astype(np.float32))
     w2 = ad.Tensor(rng.standard_normal((64, 16)).astype(np.float32))
 
     def f():
-        h = ad.feed_forward(x, w1, w2)
+        h = ad.feed_forward(x, gain, w1, w2)
         return attend(h, h, h).data
 
     assert np.array_equal(f(), f())
 
 
-def reference_feed_forward(x, w1, w2, g):
-    """(y, dx, dw1, dw2) of matmul -> tanh-GELU -> matmul for the output
-    gradient g, each step in the order of three separate ops."""
+def reference_feed_forward(x, gain, w1, w2, g):
+    """(y, dx, dgain, dw1, dw2) of rmsnorm -> matmul -> tanh-GELU -> matmul
+    for the output gradient g, each step in the order of four separate ops."""
+    y, dx, terms, dw1, dw2 = _reference_rows(x, gain, w1, w2, g)
+    return y, dx, _column_sum(terms, gain.dtype), dw1, dw2
+
+
+def _column_sum(terms, dtype):
+    """The gain gradient from its per-row terms: a float64 sum in row order."""
+    return terms.sum(axis=0, dtype=np.float64).astype(dtype)
+
+
+def _reference_rows(x, gain, w1, w2, g):
+    """reference_feed_forward with the gain gradient's (rows, D) terms in place of their sum."""
     c, a = 0.7978845608028654, 0.044715  # sqrt(2 / pi) and the cubic's weight
     x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
-    h = x2 @ w1
+    n = x.shape[-1]
+    ms = np.einsum("...i,...i->...", x2, x2, dtype=np.float64)[..., None] / n
+    inv = np.asarray(1.0 / np.sqrt(ms + 1e-6), dtype=x.dtype)
+    xhat = x2 * inv
+    fn = xhat * gain
+    h = fn @ w1
     t = np.tanh((h * h * a + 1.0) * (h * c))
     act = (t + 1.0) * h * 0.5
     dh = ((1.0 - t * t) * (h * h * (3.0 * c * a) + c) * h + (t + 1.0)) * ((g2 @ w2.T) * 0.5)
-    return (act @ w2).reshape(g.shape), (dh @ w1.T).reshape(x.shape), x2.T @ dh, act.T @ g2
+    dfn = dh @ w1.T
+    gg = dfn * gain
+    dot = (gg * xhat).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    dx = inv * (gg - xhat * (dot / n))
+    return (act @ w2).reshape(g.shape), dx.reshape(x.shape), dfn * xhat, fn.T @ dh, act.T @ g2
 
 
 def _block_rows(f, dtype):
@@ -421,38 +443,42 @@ def _block_rows(f, dtype):
     return max(1, ad._FEED_FORWARD_BLOCK_BYTES // (f * np.dtype(dtype).itemsize))
 
 
-def blocked_reference_feed_forward(x, w1, w2, g):
+def blocked_reference_feed_forward(x, gain, w1, w2, g):
     """reference_feed_forward run on each block of rows that `feed_forward`
-    walks: y and dx are the blocks' rows, dw1 and dw2 their sums in block order."""
+    walks: y and dx are the blocks' rows, dw1 and dw2 their sums in block
+    order, and dgain one sum over the blocks' rows in row order."""
     step = _block_rows(w1.shape[1], w1.dtype)
     x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
-    y, dx, dw1, dw2 = zip(*(reference_feed_forward(x2[lo:lo + step], w1, w2, g2[lo:lo + step])
-                            for lo in range(0, len(x2), step)))
-    return np.concatenate(y).reshape(g.shape), np.concatenate(dx).reshape(x.shape), sum(dw1), sum(dw2)
+    y, dx, terms, dw1, dw2 = zip(*(_reference_rows(x2[lo:lo + step], gain, w1, w2, g2[lo:lo + step])
+                                   for lo in range(0, len(x2), step)))
+    return (np.concatenate(y).reshape(g.shape), np.concatenate(dx).reshape(x.shape),
+            _column_sum(np.concatenate(terms), gain.dtype), sum(dw1), sum(dw2))
 
 
 def _feed_forward_run(dtype, b, s, d, f):
-    """feed_forward's (y, dx, dw1, dw2) and the reference chain's for the same
-    output gradient, on seeded operands of the given shape."""
+    """feed_forward's (y, dx, dgain, dw1, dw2) and the reference chain's
+    operands for the same output gradient, on seeded operands of the given shape."""
     rng = np.random.default_rng(33)
-    x, w1, w2 = (ad.Tensor((rng.standard_normal(shape) / scale).astype(dtype), requires_grad=True)
-                 for shape, scale in (((b, s, d), 1.0), ((d, f), np.sqrt(d)), ((f, d), np.sqrt(f))))
+    x, gain, w1, w2 = (ad.Tensor((rng.standard_normal(shape) / scale).astype(dtype), requires_grad=True)
+                       for shape, scale in (((b, s, d), 1.0), ((d,), 1.0), ((d, f), np.sqrt(d)),
+                                            ((f, d), np.sqrt(f))))
     targets, mask = rng.integers(0, d, (b, s)), np.ones((b, s))
     with ad.Tape() as tape:
-        y = ad.feed_forward(x, w1, w2)
+        y = ad.feed_forward(x, gain, w1, w2)
         loss = ad.cross_entropy(y, targets, mask)
     tape.backward(loss)
     out = ad.Tensor(y.data, requires_grad=True)  # the output gradient that reached feed_forward
     with ad.Tape() as tape:
         loss = ad.cross_entropy(out, targets, mask)
     tape.backward(loss)
-    return (y.data, x.grad, w1.grad, w2.grad), (x.data, w1.data, w2.data, out.grad)
+    return (y.data, x.grad, gain.grad, w1.grad, w2.grad), (x.data, gain.data, w1.data, w2.data, out.grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b, s, d, f", [(2, 50, 16, 257), (1, 1, 3, 7)])
 def test_feed_forward_is_bitwise_the_three_op_chain(dtype, b, s, d, f):
-    # Shapes whose rows fit in one block, F odd.
+    # Shapes whose rows fit in one block, F odd; the chain is the norm and
+    # then the three ops matmul, GELU, matmul.
     assert b * s <= _block_rows(f, dtype)
     got, operands = _feed_forward_run(dtype, b, s, d, f)
     for g, want in zip(got, reference_feed_forward(*operands)):
@@ -478,10 +504,10 @@ def test_blocked_feed_forward_is_near_the_unblocked_chain(dtype, tol):
 
 
 def _ffn_operands(grad, t=4096, d=64):
-    """float32 x, w1 and w2 with T tokens, width d and F = 256 hidden units."""
+    """float32 x, gain, w1 and w2 with T tokens, width d and F = 256 hidden units."""
     rng = np.random.default_rng(34)
     return [ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
-            for shape in ((1, t, d), (d, 256), (256, d))]
+            for shape in ((1, t, d), (d,), (d, 256), (256, d))]
 
 
 # T = 16,384 tokens of width 2: the (T, F) hidden array would be 64 blocks,
@@ -490,23 +516,24 @@ _NARROW = {"t": 1 << 14, "d": 2}
 
 
 def test_a_tape_free_feed_forward_peaks_at_three_blocks():
-    x, w1, w2 = _ffn_operands(grad=False, **_NARROW)
+    operands = _ffn_operands(grad=False, **_NARROW)
     tracemalloc.start()
     try:
-        ad.feed_forward(x, w1, w2)
+        ad.feed_forward(*operands)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The output, one hidden block and GELU's two scratch blocks; one
-    # (T, F) hidden array would be 64 blocks.
+    # The output, one hidden block and GELU's two scratch blocks, beside x's
+    # (T, 1) inverse norms (a quarter block) and a (rows, 2) normed block;
+    # one (T, F) hidden array would be 64 blocks.
     assert peak < 4 * ad._FEED_FORWARD_BLOCK_BYTES
 
 
 def test_a_feed_forward_backward_peaks_at_five_blocks():
-    x, w1, w2 = _ffn_operands(grad=True, **_NARROW)
-    t = x.shape[1]
+    operands = _ffn_operands(grad=True, **_NARROW)
+    t = operands[0].shape[1]
     with ad.Tape() as tape:
-        loss = ad.cross_entropy(ad.feed_forward(x, w1, w2), np.zeros((1, t), int), np.ones((1, t)))
+        loss = ad.cross_entropy(ad.feed_forward(*operands), np.zeros((1, t), int), np.ones((1, t)))
     tracemalloc.start()
     try:
         tape.backward(loss)
@@ -520,20 +547,67 @@ def test_a_feed_forward_backward_peaks_at_five_blocks():
 
 
 def test_a_taped_feed_forward_keeps_no_hidden_array():
-    x, w1, w2 = _ffn_operands(grad=True)
-    t, f = x.shape[1], w1.shape[1]
+    x, gain, w1, w2 = _ffn_operands(grad=True)
+    t = x.shape[1]
     with ad.Tape() as tape:
         tracemalloc.start()
         try:
-            y = ad.feed_forward(x, w1, w2)
+            y = ad.feed_forward(x, gain, w1, w2)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         loss = ad.cross_entropy(y, np.zeros((1, t), int), np.ones((1, t)))
-    # Only the (T, D) output is new; the closure holds x and the weights.
-    assert y.data.nbytes <= held < t * f * 4 / 2
+    # Only the (T, D) output and x's (T, 1) inverse norms are new; the
+    # closure holds x and the weights.  A normed copy of x would be one more
+    # (T, D) array, and one (T, F) hidden array four.
+    assert y.data.nbytes <= held < y.data.nbytes + x.data.nbytes / 2
     tape.backward(loss)
-    assert all(np.abs(w.grad).sum() > 0 for w in (x, w1, w2))
+    assert all(np.abs(w.grad).sum() > 0 for w in (x, gain, w1, w2))
+
+
+def test_a_taped_attention_keeps_no_score_buffer():
+    # Four rows of 256 queries make one block, whose (4, 256, 256) float32
+    # score tile is 1 MiB.
+    n, s, dh = 4, 256, 4
+    assert n * s * s * 4 <= ad._ATTENTION_BLOCK_BYTES
+    rng = np.random.default_rng(39)
+    q, k, v = (ad.Tensor(rng.standard_normal((n, s, dh)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    with ad.Tape() as tape:
+        tracemalloc.start()
+        try:
+            out = attend(q, k, v)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        loss = ad.cross_entropy(out, np.zeros((n, s), int), np.ones((n, s)))
+    # The output, each query's log-sum-exp and the shared (S, S) causal
+    # mask, 276 KiB together, and 64 KiB for the rest; the score tile alone
+    # would be 1 MiB.
+    assert held < out.data.nbytes + n * s * 4 + s * s * 4 + (64 << 10)
+    tape.backward(loss)
+    assert all(np.abs(t.grad).sum() > 0 for t in (q, k, v))
+
+
+def test_an_rmsnorm_backward_makes_one_array_beside_x_gradient():
+    t, d = 4096, 64
+    rng = np.random.default_rng(40)
+    x = ad.Tensor(rng.standard_normal((1, t, d)).astype(np.float32), requires_grad=True)
+    gain = ad.Tensor(rng.standard_normal(d).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((d, 2)).astype(np.float32))
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy(ad.matmul(ad.rmsnorm(x, gain), w), np.zeros((1, t), int), np.ones((1, t)))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The matmul's backward makes the norm's (T, D) output gradient; the
+    # norm's makes x's gradient and one temporary.  Its (T, 1) row sums and
+    # the loss's (T, 2) arrays are a sixteenth of a (T, D) array or less each.
+    assert peak < 3.5 * x.data.nbytes
+    assert np.abs(x.grad).sum() > 0 and np.abs(gain.grad).sum() > 0
 
 
 def _attention_run(q, k, v, extents=None, loss_mask=None, firsts=None):
@@ -705,13 +779,13 @@ def test_feed_forward_and_attention_leave_inputs_unmodified():
     rng = np.random.default_rng(32)
     x, q, k, v = (ad.Tensor(rng.standard_normal((3, 6, 4)).astype(np.float32), requires_grad=True)
                   for _ in range(4))
-    w1, w2 = (ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
-              for shape in ((4, 9), (9, 4)))
+    gain, w1, w2 = (ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                    for shape in ((4,), (4, 9), (9, 4)))
     extents, firsts = np.array([6, 4, 5]), np.array([0, 2, 1])
-    inputs = (x.data, w1.data, w2.data, q.data, k.data, v.data, extents, firsts)
+    inputs = (x.data, gain.data, w1.data, w2.data, q.data, k.data, v.data, extents, firsts)
     before = [a.copy() for a in inputs]
     with ad.Tape() as tape:
-        h = ad.add(ad.feed_forward(x, w1, w2), attend(q, k, v, extents=extents, firsts=firsts))
+        h = ad.add(ad.feed_forward(x, gain, w1, w2), attend(q, k, v, extents=extents, firsts=firsts))
         loss = ad.cross_entropy(h, np.zeros((3, 6), int), np.ones((3, 6)))
     tape.backward(loss)
     for a, b in zip(before, inputs):

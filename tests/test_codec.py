@@ -50,6 +50,26 @@ def test_unknown_character_offset():
     assert err.value.offset == 2
 
 
+@pytest.mark.parametrize("text, offset, char", [
+    ("12+3é=", 4, "é"),            # not ASCII
+    ("\u20ac", 0, "\u20ac"),       # not ASCII, first
+    ("0123456789+-=.,~", 15, "~"),  # ASCII, after one of every good character
+    ("12+34=\x00", 6, "\x00"),      # the byte that maps to no id
+    ("12 3", 2, " "),
+])
+def test_the_first_bad_character_is_named_at_its_offset(text, offset, char):
+    with pytest.raises(UnknownSymbol) as err:
+        encode(text + "x\u00ff")  # later bad characters do not move the offset
+    assert err.value.offset == offset and repr(char) in str(err.value)
+
+
+def test_ids_are_a_tuple_of_ints():
+    for text in ("", "7", "12+34="):
+        ids = encode(text)
+        assert type(ids) is tuple and all(type(i) is int for i in ids)
+        assert ids == tuple(CHARS.index(ch) for ch in text)
+
+
 def test_serialize_sample():
     assert serialize_sample("123123", "1212", "244334") == ("123123+1212=", "244334")
     assert serialize_sample("5", "0", "5") == ("5+0=", "5")

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -420,6 +421,30 @@ class TestForward:
             outs.append(Transformer(cfg).forward(tokens).data)
         assert not np.allclose(outs[0], outs[1])
         assert not np.allclose(outs[0], outs[2])
+
+    def test_a_tape_free_forward_of_128_rows_peaks_below_its_bound(self):
+        # 128 right-padded rows of 24 to 48 real tokens, 64 wide in four
+        # heads, as in the desk profiles.
+        cfg = ModelConfig(d_model=64, n_heads=4, n_layers=2, ffn_mult=4, max_seq_len=64, init_seed=4)
+        model = Transformer(cfg)
+        rng = np.random.default_rng(41)
+        b, s = 128, 48
+        extents, tokens = rng.integers(24, s + 1, size=b), rng.integers(0, 17, size=(b, s))
+        td = int(extents.sum()) * cfg.d_model * 4  # one packed (T, D) float32 array
+        tile = b * s * cfg.d_model * 4  # one (B * H, S, d_head) tile
+        tracemalloc.start()
+        try:
+            model.forward(tokens, extents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Attention's call holds the residual stream and rope's position
+        # rows, two (T, D) arrays, with the packing's index arrays, under an
+        # eighth of one; the q, k, v and output tiles; and one score block.
+        # A projection and its rotation peak lower, since a tile holds at
+        # least a (T, D) array.  The normed input, or a (T, D) array of the
+        # layer before, kept through attention would pass the bound.
+        assert peak < 3 * td + 4 * tile + ad._ATTENTION_BLOCK_BYTES
 
 
 def reference_logits(model: Transformer, tokens: np.ndarray) -> np.ndarray:
