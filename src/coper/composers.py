@@ -3,7 +3,8 @@
 Two-input composers combine a pair of cycles position-wise (modular
 addition, alternating add/subtract, circular convolution); single-input
 generators produce continuation prompts, geometrically scaled sequences,
-and fixed-width sine pairs.
+and fixed-width sine pairs.  A cycle is the tuple of its P values; every
+cycle and length arrives already validated by `dataset.make_record`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .cycles import InvalidPeriod, PeriodicCycle
 
 # Cycle values of the digit tasks, and their composed answers, live in [0, MODULUS).
 MODULUS = 10
@@ -58,36 +57,26 @@ class AnswerLenPolicy:
         return "full_lcm" if self.max_len is None else "capped"
 
 
-def _check_operands(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> None:
-    if out_len < 1:
-        raise InvalidPeriod(f"output length must be >= 1, got {out_len}")
-    for cycle in (c1, c2):
-        if max(cycle.values) >= MODULUS:
-            raise InvalidSpec(f"cycle values must be < modulus {MODULUS}: {cycle.values}")
-
-
-def _extended(cycle: PeriodicCycle, length: int) -> tuple[int, ...]:
+def _extended(cycle: tuple[int, ...], length: int) -> tuple[int, ...]:
     """The first `length` values of the cycle's infinite repetition."""
-    return (cycle.values * -(-length // len(cycle)))[:length]
+    return (cycle * -(-length // len(cycle)))[:length]
 
 
-def compose_modadd(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+def compose_modadd(c1: tuple[int, ...], c2: tuple[int, ...], out_len: int) -> tuple[int, ...]:
     """out[t] = (c1[t mod P1] + c2[t mod P2]) mod MODULUS."""
-    _check_operands(c1, c2, out_len)
     return tuple([(a + b) % MODULUS for a, b in zip(_extended(c1, out_len), _extended(c2, out_len))])
 
 
-def compose_addsub(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+def compose_addsub(c1: tuple[int, ...], c2: tuple[int, ...], out_len: int) -> tuple[int, ...]:
     """out[t] = (c1[t mod P1] + (-1)^t * c2[t mod P2]) mod MODULUS.
 
     The mod is the mathematical one, mapping into [0, MODULUS).
     """
-    _check_operands(c1, c2, out_len)
     e1, e2 = _extended(c1, out_len), _extended(c2, out_len)
     return tuple([(e1[t] - e2[t] if t & 1 else e1[t] + e2[t]) % MODULUS for t in range(out_len)])
 
 
-def compose_circconv(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tuple[int, ...]:
+def compose_circconv(c1: tuple[int, ...], c2: tuple[int, ...], out_len: int) -> tuple[int, ...]:
     """out[t] = (sum_{n < N} c1[n mod P1] * c2[(t - n) mod P2]) mod MODULUS,
     with N = lcm(P1, P2); the reduction makes it fit the digit vocabulary.
 
@@ -96,34 +85,23 @@ def compose_circconv(c1: PeriodicCycle, c2: PeriodicCycle, out_len: int) -> tupl
     N + t - n = t - n (mod P2): that is out[t] for t < N, and out has
     period N.
     """
-    _check_operands(c1, c2, out_len)
     n_total = math.lcm(len(c1), len(c2))
     full = np.convolve(_extended(c1, n_total), _extended(c2, 2 * n_total))
     return tuple(np.resize(full[n_total:2 * n_total] % MODULUS, out_len).tolist())
 
 
-def gen_scaled_single(c: PeriodicCycle, repeats: int, factor: int = 2) -> tuple[int, ...]:
+def gen_scaled_single(c: tuple[int, ...], repeats: int, factor: int = 2) -> tuple[int, ...]:
     """Geometric block repetition: block r equals factor^r * cycle, unreduced.
 
     Values grow across blocks, deliberately breaking the shift invariance
     that plain periodic repetition has.
     """
-    if repeats < 2:
-        raise InvalidSpec(f"repeats must be >= 2, got {repeats}")
-    if any(v < 1 for v in c.values):
-        raise InvalidSpec(f"scaled cycles need values >= 1, got {c.values}")
-    out: list[int] = []
-    for r in range(repeats):
-        out.extend(v * factor**r for v in c.values)
-    return tuple(out)
+    return tuple(v * factor**r for r in range(repeats) for v in c)
 
 
-def gen_single_continuation(c: PeriodicCycle, prompt_len: int, answer_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Periodic continuation task: prompt of >= two cycles, then the next tokens."""
-    if prompt_len < 2 * len(c):
-        raise InvalidSpec(f"prompt_len {prompt_len} shorter than two cycles of length {len(c)}")
-    if answer_len < 1:
-        raise InvalidSpec(f"answer_len must be >= 1, got {answer_len}")
+def gen_single_continuation(c: tuple[int, ...], prompt_len: int, answer_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Periodic continuation task: the first `prompt_len` values of the
+    cycle's repetition, then the next `answer_len`."""
     seq = _extended(c, prompt_len + answer_len)
     return seq[:prompt_len], seq[prompt_len:]
 

@@ -35,7 +35,6 @@ from .composers import (
     gen_single_continuation,
     gen_sine_pair,
 )
-from .cycles import PeriodicCycle, minimal_period
 from .model import write_atomic
 
 FORMAT_VERSION = "coper-1"
@@ -118,15 +117,22 @@ def classify_pair(p1: int, p2: int, policy: SplitPolicy) -> PairClass:
     return PairClass.ID if in_train else PairClass.EXTRAPOLATION
 
 
-def sample_cycle(period: int, lo: int, hi: int, rng: np.random.Generator) -> PeriodicCycle:
-    """Cycle in base hi + 1 of uniform draws over [lo, hi], rejected until
-    its minimal period is exactly `period`."""
+def minimal_period(values: tuple[int, ...]) -> int:
+    """Smallest d dividing len(values) with values[i] == values[i mod d]:
+    that holds exactly when the cycle equals itself shifted by d."""
+    n = len(values)
+    return next(d for d in range(1, n + 1) if n % d == 0 and values[d:] == values[:n - d])
+
+
+def sample_cycle(period: int, lo: int, hi: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Cycle of uniform draws over [lo, hi], rejected until its minimal
+    period is exactly `period`."""
     if period < 1:
         raise InvalidSpec(f"period must be >= 1, got {period}")
     if period > 1 and hi <= lo:
         raise InvalidSpec(f"no cycle of minimal period {period} draws its values from [{lo}, {hi}]")
     while True:
-        cycle = PeriodicCycle(tuple(rng.integers(lo, hi + 1, size=period).tolist()), base=hi + 1)
+        cycle = tuple(rng.integers(lo, hi + 1, size=period).tolist())
         if minimal_period(cycle) == period:
             return cycle
 
@@ -332,8 +338,8 @@ def make_record(
         n_total = math.lcm(p1, p2)
         ans = _COMPOSERS[rule](c1, c2, answer_policy.answer_len(n_total))
         # lcm(p1, p2) is a multiple of each period: every operand is whole cycles.
-        s1 = _digits(c1.values) * (n_total // p1)
-        s2 = _digits(c2.values) * (n_total // p2)
+        s1 = _digits(c1) * (n_total // p1)
+        s2 = _digits(c2) * (n_total // p2)
         input_text, target_text = codec.serialize_sample(s1, s2, _digits(ans))
     elif rule is ComposeRule.SINGLE_PERIOD:
         c = sample_cycle(p1, 0, MODULUS - 1, rng)
@@ -342,7 +348,7 @@ def make_record(
             prompt_len = 2 * p1 + int(rng.integers(1, p1 + 1))
         else:
             prompt_len = int(rng.integers(params.prompt_len_lo, params.prompt_len_hi + 1))
-            prompt_len = max(prompt_len, 2 * p1)
+            prompt_len = max(prompt_len, 2 * p1)  # at least two whole cycles
         prompt, answer = gen_single_continuation(c, prompt_len, params.answer_len)
         input_text, target_text = _digits(prompt), _digits(answer)
     elif rule is ComposeRule.SCALED_SINGLE:

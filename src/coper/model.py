@@ -83,8 +83,10 @@ class ModelConfig:
                 f"d_model {self.d_model} must be divisible by 2 * n_heads = {2 * self.n_heads}")
         if not 1 <= self.n_layers <= 8:
             raise ConfigError(f"n_layers must be in [1, 8], got {self.n_layers}")
-        if self.ffn_mult < 1 or self.vocab_size < 2 or self.max_seq_len < 2:
-            raise ConfigError("ffn_mult, vocab_size, and max_seq_len must be positive")
+        if self.vocab_size != VOCAB_SIZE:
+            raise ConfigError(f"vocab_size must be the codec's {VOCAB_SIZE}, got {self.vocab_size}")
+        if self.ffn_mult < 1 or self.max_seq_len < 2:
+            raise ConfigError("ffn_mult and max_seq_len must be positive")
 
     @property
     def d_head(self) -> int:

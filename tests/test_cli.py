@@ -442,6 +442,17 @@ class TestEndToEnd:
         assert f"task_params need {rule}" in err
         assert not (tmp_path / "d").exists()
 
+    def test_a_foreign_vocab_size_fails_before_any_file(self, tmp_path, capsys):
+        for vocab_size in (20, 10):
+            config = tmp_path / "vocab.json"
+            config.write_text(json.dumps({"model": {"vocab_size": vocab_size}}))
+            out = tmp_path / f"v{vocab_size}"
+            code, _, err = run(capsys, "run-experiment", "single-period", "--epochs", "1",
+                               "--out", str(out), "--config", str(config))
+            assert code == 1
+            assert "config section 'model'" in err and f"vocab_size must be the codec's 17, got {vocab_size}" in err
+            assert not out.exists()
+
     def test_runtime_shape_error_exits_two(self, tmp_path, capsys, monkeypatch, micro_config):
         from coper import evaluation
         from coper.autodiff import ShapeError

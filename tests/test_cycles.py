@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec, compose_modadd
-from coper.cycles import InvalidCycle, InvalidPeriod, PeriodicCycle, minimal_period
-from coper.dataset import Split, TaskParams, make_record
+from coper.dataset import Split, TaskParams, make_record, minimal_period
 
 
 def naive_period(values):
@@ -18,37 +17,20 @@ def naive_period(values):
     return n
 
 
-class TestPeriodicCycle:
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidCycle):
-            PeriodicCycle(())
-
-    def test_rejects_out_of_base(self):
-        with pytest.raises(InvalidCycle):
-            PeriodicCycle((0, 10))
-        with pytest.raises(InvalidCycle):
-            PeriodicCycle((-1,))
-
-    def test_small_base(self):
-        with pytest.raises(InvalidCycle):
-            PeriodicCycle((0,), base=1)
-
-
 class TestMinimalPeriod:
     @pytest.mark.parametrize(
         "values,expected",
         [((1, 2, 1, 2), 2), ((9, 5, 5, 8, 8, 4), 6), ((7, 7, 7), 1)],
     )
     def test_examples(self, values, expected):
-        assert minimal_period(PeriodicCycle(values)) == expected
+        assert minimal_period(values) == expected
 
     def test_divides_length_and_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             n = int(rng.integers(1, 13))
             values = tuple(int(v) for v in rng.integers(0, 10, size=n))
-            c = PeriodicCycle(values)
-            d = minimal_period(c)
+            d = minimal_period(values)
             assert n % d == 0
             assert d == naive_period(values)
 
@@ -56,9 +38,9 @@ class TestMinimalPeriod:
         rng = np.random.default_rng(1)
         for _ in range(200):
             n = int(rng.integers(1, 10))
-            c = PeriodicCycle(tuple(int(v) for v in rng.integers(0, 10, size=n)))
+            c = tuple(int(v) for v in rng.integers(0, 10, size=n))
             d = minimal_period(c)
-            ext = compose_modadd(c, PeriodicCycle((0,)), 3 * d)
+            ext = compose_modadd(c, (0,), 3 * d)
             assert np.roll(ext, d).tolist() == list(ext)
 
 
@@ -104,8 +86,4 @@ class TestExtend:
         ],
     )
     def test_examples(self, values, length, expected):
-        assert compose_modadd(PeriodicCycle(values), PeriodicCycle((0,)), length) == expected
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(InvalidPeriod):
-            compose_modadd(PeriodicCycle((1,)), PeriodicCycle((0,)), 0)
+        assert compose_modadd(values, (0,), length) == expected

@@ -1,14 +1,16 @@
+import ast
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coper import dataset
 from coper.cli import main
 from coper.composers import AnswerLenPolicy, ComposeRule, InvalidSpec
-from coper.cycles import minimal_period
 from coper.profiles import PROFILES
 from coper.dataset import (
     DatasetManifest,
@@ -23,6 +25,8 @@ from coper.dataset import (
     build_dataset,
     classify_pair,
     load_records,
+    make_record,
+    minimal_period,
     sample_cycle,
     verify_dataset,
 )
@@ -78,7 +82,7 @@ class TestSampleCycle:
                 period = int(rng.integers(1, 11))
                 c = sample_cycle(period, lo, hi, rng)
                 assert minimal_period(c) == period
-                assert c.base == hi + 1 and lo <= min(c.values) and max(c.values) <= hi
+                assert type(c) is tuple and lo <= min(c) and max(c) <= hi
 
     def test_deterministic_given_seed(self):
         for lo, hi in self.RANGES:
@@ -87,7 +91,7 @@ class TestSampleCycle:
             assert a == b
 
     def test_one_value_allows_only_period_one(self):
-        assert sample_cycle(1, 1, 1, np.random.default_rng(0)).values == (1,)
+        assert sample_cycle(1, 1, 1, np.random.default_rng(0)) == (1,)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(InvalidSpec, match=re.escape("no cycle of minimal period 2 draws its values from [1, 1]")):
@@ -102,7 +106,7 @@ class TestSampleCycle:
             for seed in range(200):
                 rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
                 cycle = sample_cycle(1, lo, hi, rng)
-                assert cycle.values == (int(scalar.integers(lo, hi + 1)),)
+                assert cycle == (int(scalar.integers(lo, hi + 1)),)
                 assert rng.bit_generator.state == scalar.bit_generator.state
 
 
@@ -349,6 +353,19 @@ class TestRelativePrompts:
             assert 2 * rec.p1 + 1 <= n <= 3 * rec.p1
         assert verify_dataset(tmp_path).passed
 
+    def test_a_prompt_range_below_two_cycles_is_raised_to_two(self, tmp_path):
+        # make_record lengthens a drawn prompt to two whole cycles, the one
+        # place a continuation prompt's length is checked.
+        params = TaskParams(prompt_len_lo=2, prompt_len_hi=3)
+        rec = make_record(ComposeRule.SINGLE_PERIOD, Split.TRAIN, (12, 12), 0, np.random.default_rng(0),
+                          AnswerLenPolicy(), params)
+        assert len(rec.input_text) == 24
+        build_dataset(ComposeRule.SINGLE_PERIOD, SplitPolicy(12, 12, 12, 12), {Split.TRAIN: 20}, 0, tmp_path,
+                      answer_policy=AnswerLenPolicy(), task_params=params)
+        report = verify_dataset(tmp_path)
+        assert report.passed, report.failures
+        assert {len(r.input_text) for r in load_records(tmp_path, Split.TRAIN)} == {24}
+
 
 def edit_record(path, index, edit):
     """Rewrite record `index` of a split file as `edit` leaves its dict; returns
@@ -533,3 +550,30 @@ def test_closed_form_circconv_oracle_is_the_direct_sum():
             length = 2 * n + 3  # past one period, as a too-long target would be
             direct = "".join(str(int(a[m % p1] @ b[(t - m) % p2]) % 10) for t in range(length))
             assert _oracle_circconv(a.tolist(), b.tolist(), length, 10) == direct, (p1, p2)
+
+
+ORACLE_ROOTS = ("_check_record", "_oracle_two_cycle", "_oracle_circconv", "_repeat_to",
+                "_text_minimal_period", "verify_dataset")
+GENERATOR_NAMES = {"make_record", "sample_cycle", "minimal_period", "build_dataset", "_digits",
+                   "_COMPOSERS", "format_fixed10", "_extended"}
+
+
+def test_the_oracle_reaches_no_generator_code():
+    # Every name read by the oracle's functions, and by each module function
+    # they reach in turn: verification shares no code with generation.
+    tree = ast.parse(Path(dataset.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), list(ORACLE_ROOTS), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            read = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if read is not None:
+                names.add(read)
+                if read in functions:
+                    todo.append(read)
+    shared = {n for n in names if n in GENERATOR_NAMES or n.startswith(("compose_", "gen_"))}
+    assert not shared, f"the oracle reaches generator code: {sorted(shared)}"

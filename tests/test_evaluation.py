@@ -1,5 +1,6 @@
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -159,10 +160,11 @@ class TestEvaluate:
         with pytest.raises(InvalidSpec, match="vocabulary"):
             evaluate(model, tmp_path)
 
-    def test_model_vocab_must_match_codec(self, data):
-        model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1, vocab_size=18, max_seq_len=64))
-        with pytest.raises(ConfigError, match="vocab"):
-            evaluate(model, data)
+    def test_model_vocab_must_match_codec(self):
+        # The config rejects a foreign vocabulary, so no model evaluate sees has one.
+        for vocab_size in (VOCAB_SIZE - 7, VOCAB_SIZE + 1):
+            with pytest.raises(ConfigError, match=f"vocab_size must be the codec's {VOCAB_SIZE}, got {vocab_size}"):
+                ModelConfig(d_model=16, n_heads=2, n_layers=1, vocab_size=vocab_size, max_seq_len=64)
 
     def test_category_matches_weighted_cells(self, data):
         rng = np.random.default_rng(1)
@@ -315,3 +317,15 @@ class TestEmission:
         assert len(rows) == 7
         svg = (tmp_path / "l.svg").read_text()
         assert svg.count("<polyline") == 3
+
+    def test_svgs_escape_their_labels(self, tmp_path):
+        # A label holding XML's markup characters still leaves each SVG well-formed.
+        label = "rope<base&10>"
+        emit_heatmap(self.grid(), tmp_path / "h.csv", tmp_path / "h.svg")
+        emit_category_bar([(label, CategoryReport(0.2, 2.2, 0.95, 0.4, 0.2))], tmp_path / "c.csv", tmp_path / "c.svg")
+        log = RunLog()
+        log.append(EvalPoint(1, 2.0, {label: 2.1}, {}))
+        emit_loss_curves(log, tmp_path / "l.csv", tmp_path / "l.svg")
+        texts = [el.text for name in ("h", "c", "l")
+                 for el in ET.parse(tmp_path / f"{name}.svg").iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(label) == 2  # the category bar's model name and the loss curve's series

@@ -3,7 +3,6 @@ import numpy as np
 
 from coper import autodiff as ad
 from coper.composers import gen_scaled_single
-from coper.cycles import PeriodicCycle
 from coper.model import rope_tables
 
 
@@ -31,7 +30,7 @@ class TestPremise:
     def test_scaled_sequence_violates(self):
         # (1, 2) scaled over three repeats is 1 2 2 4 4 8: differences one
         # period apart double, so f(a) - f(b) == f(a + 2) - f(b + 2) fails.
-        seq = gen_scaled_single(PeriodicCycle((1, 2)), 3)
+        seq = gen_scaled_single((1, 2), 3)
         limit = len(seq) - 2
         violations = [(a, b) for a in range(limit) for b in range(limit)
                       if seq[a] - seq[b] != seq[a + 2] - seq[b + 2]]
